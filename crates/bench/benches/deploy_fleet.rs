@@ -7,7 +7,7 @@
 //! data frames — the realistic regime where stage-1 decode dominates the
 //! coordinator) with the stage-1 decode run serially vs fanned across a
 //! 4-thread decode pool. Fused output is byte-identical either way (see
-//! the `fusion_shards` e2e suite and `tests/proptest_fleet.rs`); only
+//! the `decode_shards` e2e suite and `tests/proptest_fleet.rs`); only
 //! the wall-clock changes. Dividing the per-window time into the
 //! `fixes/window` info line printed per operating point gives aggregate
 //! fused-fix throughput.
@@ -59,7 +59,7 @@ fn bench_deploy_fleet(c: &mut Criterion) {
             continue;
         }
         // Generate the traffic once per fleet size; iterations and
-        // shard configs reuse it via cheap `Arc` clones.
+        // decode configs reuse it via cheap `Arc` clones.
         let txs = campus_window(n_clients);
         for decode_shards in [1usize, 4] {
             // Small snapshot cap: the per-AP DSP term stays modest so
@@ -68,7 +68,6 @@ fn bench_deploy_fleet(c: &mut Criterion) {
                 snapshot_cap: 64,
                 windows_in_flight: DEPTH,
                 decode_shards,
-                fusion_shards: 16,
                 ..DeployConfig::default()
             };
             let mut deployment = Deployment::new(campus_aps(n_clients), cfg);

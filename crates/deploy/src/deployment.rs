@@ -12,7 +12,7 @@
 //! [`crate::DeployConfig::marker_timeout_windows`]), and workers may
 //! join, leave, or die mid-run (a window never waits on an AP that is
 //! no longer live). All of it is deterministic for a seeded run, at
-//! any decode/fusion shard count.
+//! any decode shard count.
 
 use crate::align::SkewAligner;
 use crate::config::{ApSkew, DeployConfig, DeployError};
@@ -1421,15 +1421,9 @@ fn mirror_counters(
     t.registry
         .gauge("fusion.rebaselines", &[])
         .set(fusion.rebaseline_count() as i64);
-    let per_shard = fusion.tracked_clients_per_shard();
     t.registry
         .gauge("fusion.tracked_clients", &[])
-        .set(per_shard.iter().sum::<usize>() as i64);
-    for (shard, n) in per_shard.iter().enumerate() {
-        t.registry
-            .gauge("fusion.shard_clients", &[("shard", &shard.to_string())])
-            .set(*n as i64);
-    }
+        .set(fusion.tracked_clients() as i64);
     t.registry
         .gauge("recorder.clients", &[])
         .set(t.recorder.client_count() as i64);

@@ -1,6 +1,6 @@
 //! Deployment-side telemetry glue: the shared registry/flight-recorder
 //! bundle threaded through the coordinator, workers, decode pool and
-//! fusion shards, plus the rich per-client window event the flight
+//! fusion stage, plus the rich per-client window event the flight
 //! recorder keeps.
 //!
 //! Everything here is **strictly out-of-band**: stage timers record
@@ -125,7 +125,7 @@ impl ClientWindowEvent {
 
 /// The telemetry bundle a [`crate::Deployment`] owns when
 /// [`crate::DeployConfig::telemetry`] is enabled, shared (`Arc`) with
-/// the decode pool, worker threads and fusion shards.
+/// the decode pool, worker threads and fusion stage.
 pub(crate) struct DeployTelemetry {
     pub cfg: TelemetryConfig,
     pub registry: Registry,
@@ -151,7 +151,7 @@ impl DeployTelemetry {
         }))
     }
 
-    /// A per-shard stage histogram handle, or `None` when stage timing
+    /// A labelled stage histogram handle, or `None` when stage timing
     /// is off (so the caller's span guard compiles down to a branch).
     pub fn stage(&self, name: &str, label: &str, idx: usize) -> Option<Arc<Histogram>> {
         self.cfg
@@ -171,35 +171,6 @@ pub(crate) struct WorkerTap {
     pub dsp: Arc<Histogram>,
     /// `stage.enforce`: one per-observation signature/ACL enforcement.
     pub enforce: Arc<Histogram>,
-}
-
-/// Per-shard fusion tap handles, built by the deployment when it
-/// attaches telemetry to its fusion stage.
-pub(crate) struct FusionTaps {
-    /// `stage.fusion_drain` per shard (empty when stage timing is off).
-    pub drain: Vec<Arc<Histogram>>,
-    /// `stage.consensus` per shard (empty when stage timing is off).
-    pub consensus: Vec<Arc<Histogram>>,
-    /// The shared bundle (for the flight recorder).
-    pub telemetry: Arc<DeployTelemetry>,
-}
-
-/// What one fusion-shard drain sees of the taps: per-shard histogram
-/// refs plus the recorder. `Copy` so the scoped shard threads each take
-/// their own.
-#[derive(Clone, Copy)]
-pub(crate) struct ShardTap<'a> {
-    pub drain: Option<&'a Histogram>,
-    pub consensus: Option<&'a Histogram>,
-    pub recorder: Option<&'a FlightRecorder<MacAddr, ClientWindowEvent>>,
-}
-
-impl ShardTap<'_> {
-    pub const NONE: ShardTap<'static> = ShardTap {
-        drain: None,
-        consensus: None,
-        recorder: None,
-    };
 }
 
 #[cfg(test)]

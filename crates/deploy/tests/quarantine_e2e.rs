@@ -14,6 +14,7 @@ use sa_channel::pattern::TxAntenna;
 use sa_deploy::faults::{FaultEvent, FaultPlan};
 use sa_deploy::{DeployConfig, Deployment, HealthConfig, TelemetryConfig, Transmission};
 use sa_testbed::Testbed;
+use std::collections::BTreeSet;
 
 const N_APS: usize = 4;
 const SEED: u64 = 10_2010;
@@ -180,6 +181,26 @@ fn byzantine_ap_is_quarantined_and_the_fleet_recovers() {
         "honest AP scored {honest_milli} milli vs liar {score_milli}"
     );
     assert!(snapshot.gauge_value("fusion.rebaselines", &[]).unwrap_or(0) >= 1);
+    // Fusion is one stage: one unlabelled drain series, and the tracked
+    // client gauge counts every client that ever fused a fix.
+    let drains: Vec<_> = snapshot
+        .histograms
+        .iter()
+        .filter(|h| h.name == "stage.fusion_drain")
+        .collect();
+    assert_eq!(drains.len(), 1, "expected one stage.fusion_drain series");
+    assert!(drains[0].labels.is_empty());
+    assert_eq!(drains[0].count, fused.len() as u64);
+    let fused_clients: BTreeSet<_> = fused
+        .iter()
+        .flat_map(|f| &f.clients)
+        .filter(|c| c.fix.is_some())
+        .map(|c| c.mac)
+        .collect();
+    assert_eq!(
+        snapshot.gauge_value("fusion.tracked_clients", &[]),
+        Some(fused_clients.len() as i64)
+    );
     // The flight recorder's post-mortem shows the withheld evidence.
     let explain = deployment.explain(&mac).expect("recorded client");
     assert!(
