@@ -37,7 +37,7 @@ use crate::pseudospectrum::Pseudospectrum;
 use crate::source_count::SourceCount;
 use sa_array::geometry::{Array, ArrayKind};
 use sa_linalg::complex::C64;
-use sa_linalg::eigen::{EigBackend, EigH, EighWorkspace};
+use sa_linalg::eigen::{EigH, EighWorkspace};
 use sa_linalg::CMat;
 use sa_sigproc::covariance::{forward_backward_into, sample_covariance, smooth_fb_into};
 use sa_sigproc::snr::eig_split_snr;
@@ -168,11 +168,6 @@ pub struct AoaConfig {
     pub grid_step_deg: f64,
     /// Capon diagonal loading (fraction of mean eigenvalue).
     pub capon_loading: f64,
-    /// Eigensolver backend. The default tridiagonal path is the fast
-    /// one; [`EigBackend::Jacobi`] selects the reference oracle (same
-    /// bearings to well below the grid resolution — pinned by the
-    /// estimator oracle test — at several times the per-packet cost).
-    pub eig_backend: EigBackend,
     /// How the MUSIC spectrum search is executed. The default
     /// exhaustive scan is the oracle the other backends are pinned to.
     pub scan_backend: ScanBackend,
@@ -192,7 +187,6 @@ impl Default for AoaConfig {
             circular: CircularHandling::ModeSpace,
             grid_step_deg: 1.0,
             capon_loading: 1e-6,
-            eig_backend: EigBackend::Tridiagonal,
             scan_backend: ScanBackend::Exhaustive,
             confidence: ConfidenceModel::PeakPower,
         }
@@ -434,7 +428,7 @@ impl AoaEngine {
             backend,
             root,
             steer_buf: Vec::new(),
-            eig_ws: EighWorkspace::with_backend(cfg.eig_backend),
+            eig_ws: EighWorkspace::new(),
             eig: EigH {
                 values: Vec::new(),
                 vectors: CMat::default(),
@@ -710,6 +704,7 @@ mod tests {
     use rand_chacha::ChaCha8Rng;
     use sa_array::geometry::broadside_deg_to_azimuth;
     use sa_linalg::complex::C64;
+    use sa_linalg::eigen::EigBackend;
     use sa_sigproc::noise::add_noise;
 
     fn coherent_snapshots(
@@ -953,12 +948,9 @@ mod tests {
                 },
             ),
         ] {
-            let jacobi_cfg = AoaConfig {
-                eig_backend: sa_linalg::EigBackend::Jacobi,
-                ..base
-            };
             let mut fast = AoaEngine::new(&array, &base);
-            let mut oracle = AoaEngine::new(&array, &jacobi_cfg);
+            let mut oracle = AoaEngine::new(&array, &base);
+            oracle.eig_ws = EighWorkspace::with_backend(EigBackend::Jacobi);
             for seed in 0..6u64 {
                 let az1 = (20.0 + 50.0 * seed as f64).to_radians();
                 let az2 = (140.0 + 30.0 * seed as f64).to_radians();

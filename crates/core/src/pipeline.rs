@@ -60,7 +60,7 @@ use sa_linalg::CMat;
 use sa_mac::{AccessControlList, Frame, MacAddr};
 use sa_phy::ppdu::{PhyError, Receiver, Transmitter};
 use sa_phy::Modulation;
-use sa_sigproc::covariance::sample_covariance_strided_into;
+use sa_sigproc::covariance::sample_covariance_into;
 use sa_sigproc::iq::to_db;
 
 /// Static AP configuration.
@@ -716,22 +716,14 @@ impl PacketBatch<'_> {
         Ok(())
     }
 
-    /// Cap the number of covariance snapshots per packet: windows
-    /// longer than `cap` samples are decimated by a uniform stride. A
-    /// few hundred snapshots already saturate an 8×8 sample
-    /// covariance, so deployments trade an invisible accuracy loss for
-    /// a DSP cost that stops scaling with payload length. `0` (the
-    /// default) disables the cap — and is the only setting that keeps
-    /// batched results bit-identical to [`AccessPoint::observe`].
-    ///
-    /// Where the decimation happens differs by ingest path. On
-    /// [`PacketBatch::push_predecoded`] the *staged window itself* is
-    /// decimated, so `rss_db` becomes a strided-subsample estimate and
-    /// `extent` reports the staged snapshot count. On
-    /// [`PacketBatch::push`]/[`PacketBatch::push_all`] the full window
-    /// is staged and only the covariance input is decimated — RSS and
-    /// `extent` still cover the whole packet (`push_all`'s scan cursor
-    /// depends on the full extent).
+    /// Cap the number of covariance snapshots per packet staged by
+    /// [`PacketBatch::push_predecoded`]: windows longer than `cap`
+    /// samples are decimated by a uniform stride at extraction. A few
+    /// hundred snapshots already saturate an 8×8 sample covariance, so
+    /// deployments trade an invisible accuracy loss for a DSP cost that
+    /// stops scaling with payload length. `0` (the default) disables
+    /// the cap — and is the only setting that keeps batched results
+    /// bit-identical to [`AccessPoint::observe`].
     pub fn set_snapshot_cap(&mut self, cap: usize) {
         self.snapshot_cap = cap;
     }
@@ -769,19 +761,10 @@ impl PacketBatch<'_> {
             } = staged;
             // 2b. Calibrate (per-chain corrections, §2.2).
             self.ap.calibration.apply(&mut window);
-            // 3–4. Covariance into the recycled buffer — the snapshot
-            // cap is applied as a stride *inside* the covariance
-            // accumulation (fused; the decimated snapshot set is never
-            // materialised) — then AoA through the shared engine.
-            let (stride, n_snapshots) =
-                if self.snapshot_cap > 0 && window.cols() > self.snapshot_cap {
-                    let stride = window.cols().div_ceil(self.snapshot_cap);
-                    (stride, window.cols().div_ceil(stride))
-                } else {
-                    (1, window.cols())
-                };
-            sample_covariance_strided_into(&window, stride, &mut self.cov);
-            let estimate = self.engine.estimate_cov(&self.cov, n_snapshots);
+            // 3–4. Covariance into the recycled buffer, then AoA
+            // through the shared engine.
+            sample_covariance_into(&window, &mut self.cov);
+            let estimate = self.engine.estimate_cov(&self.cov, window.cols());
             // 5. Signature + RSS.
             out.push(
                 self.ap

@@ -63,16 +63,36 @@ struct WorkerSlot {
     /// The worker's thread has exited and its buffered reports have
     /// been salvaged, but its *membership* has not ended yet. Hangups
     /// are noticed at racy points (timeout scans, failed sends), so
-    /// noticing only sets this flag; the membership end — retire,
-    /// re-baseline, loss accounting — happens in
+    /// noticing only sets this flag; the membership end happens in
     /// [`Deployment::collect_window`] at the first window the worker
     /// failed to report, a deterministic point in window order. A
     /// worker that exited normally may also be flagged here; since all
     /// its windows closed, the flag is then inert.
     hung: bool,
-    /// Run totals captured when the worker left early (removed or
-    /// reaped); `None` while running or if the thread panicked.
+    /// Run totals captured when the worker's membership ended early
+    /// (removed, lost or reaped); `None` while running or if the
+    /// thread panicked.
     final_stats: Option<ApStats>,
+}
+
+impl WorkerSlot {
+    /// The worker's thread is still running.
+    fn running(&self) -> bool {
+        self.join.as_ref().is_some_and(|j| !j.is_finished())
+    }
+}
+
+/// Why an AP's membership ended — decides the one counter
+/// [`Deployment::end_membership`] bumps.
+enum Departure {
+    /// The worker thread died (crash, panic):
+    /// [`DeployMetrics::worker_losses`].
+    Lost,
+    /// The stall watchdog reaped it: [`DeployMetrics::watchdog_reaps`].
+    Watchdog,
+    /// [`Deployment::remove_ap`]: [`DeployMetrics::aps_removed`] if the
+    /// worker drained and exited cleanly, otherwise a loss.
+    Removed,
 }
 
 /// Reports buffered for one not-yet-closed window — one cell of the
@@ -86,17 +106,12 @@ struct WindowBin {
     reported: Vec<usize>,
     packets: Vec<crate::report::ApPacket>,
     end_stats: Vec<(usize, ApStats)>,
-    lost_reports: usize,
-    skew_rejected: usize,
-    /// APs whose end-of-window marker was declared lost (revealed by a
-    /// later marker's gap, or by the worker's final flush). They count
+    /// The window's degradation, by AP: which APs lost their payload,
+    /// were skew-rejected, lost their end-of-window marker, failed the
+    /// wire checksum, or arrived stalled. Sets of AP ids (arrival
+    /// order; consumers treat them as sets). A marker-lost AP (revealed
+    /// by a later marker's gap, or by the worker's final flush) counts
     /// as reported — the window closes — but contributed nothing.
-    markers_lost: usize,
-    /// Per-AP attribution of the degradation above, for the health
-    /// layer's evidence: which APs lost their payload, were
-    /// skew-rejected, lost their marker, failed the wire checksum, or
-    /// arrived stalled. Sets of AP ids (arrival order; consumers treat
-    /// them as sets).
     lost_ap_ids: Vec<usize>,
     skew_ap_ids: Vec<usize>,
     marker_lost_ap_ids: Vec<usize>,
@@ -451,72 +466,16 @@ impl Deployment {
         // their markers (FIFO: everything queued processes before the
         // Shutdown), by a later marker's gap, or by the final flush
         // revealing tail losses. A drain-first order would wait forever
-        // on a lost tail marker.
+        // on a lost tail marker. A worker that exits with windows still
+        // outstanding died without flushing: a loss, not a removal.
         self.send_shutdown(ap_id);
-        while self.aligner.pending(ap_id) > 0 && self.slots[ap_id].alive {
-            if self.slots[ap_id]
-                .join
-                .as_ref()
-                .is_some_and(|j| j.is_finished())
-            {
-                // The worker exited: every send it made (markers, then
-                // the flush) is already in the channel. Drain them; if
-                // anything is still outstanding after that, it died
-                // without flushing (a panic) and must be reaped.
-                while let Ok(done) = self.up_rx.try_recv() {
-                    self.route(done);
-                }
-                if self.aligner.pending(ap_id) > 0 {
-                    self.reap_worker(ap_id);
-                }
-                break;
-            }
+        while self.aligner.pending(ap_id) > 0 && self.slots[ap_id].running() {
             self.wait_for_progress();
         }
-        if !self.slots[ap_id].alive {
-            // Died while draining (reaped as a worker loss).
-            return Err(DeployError::WorkerLost {
+        self.end_membership(ap_id, Departure::Removed)
+            .ok_or(DeployError::WorkerLost {
                 window: self.next_window,
-            });
-        }
-        // The worker's final flush is a *blocking* send on the shared
-        // report channel; joining before the thread has exited would
-        // deadlock on a full channel. Drain reports until it is gone.
-        while self.slots[ap_id]
-            .join
-            .as_ref()
-            .is_some_and(|j| !j.is_finished())
-        {
-            if let Ok(done) = self
-                .up_rx
-                .recv_timeout(std::time::Duration::from_millis(10))
-            {
-                self.route(done);
-            }
-        }
-        let slot = &mut self.slots[ap_id];
-        slot.alive = false;
-        let joined = slot.join.take().map(|j| j.join());
-        // Membership ended either way — a panic during shutdown must
-        // still retire the AP from fusion and re-baseline, or stale
-        // references would false-flag every client under the new
-        // geometry.
-        self.fusion.retire_ap(ap_id);
-        self.fusion.rebaseline();
-        self.aligner.forget_ap(ap_id);
-        let (ap, stats) = match joined {
-            Some(Ok(pair)) => pair,
-            _ => {
-                self.metrics.worker_losses += 1;
-                return Err(DeployError::WorkerLost {
-                    window: self.next_window,
-                });
-            }
-        };
-        self.slots[ap_id].final_stats = Some(stats);
-        self.metrics.aps_removed += 1;
-        self.health.mark_dead(ap_id);
-        Ok(ap)
+            })
     }
 
     /// Re-join a previously removed (or lost) AP under its original
@@ -652,13 +611,9 @@ impl Deployment {
             },
         );
 
-        // Dispatch, with ingest backpressure accounting. A full worker
-        // queue is never waited on blindly: the coordinator keeps
-        // draining the report channel while it waits, so workers stuck
-        // publishing finished windows can always make progress — deep
-        // pipelining backs up gracefully instead of deadlocking on a
-        // full channel cycle. A worker found dead here is reaped and
-        // skipped; the window will close without it.
+        // Dispatch, counting ingest backpressure once per dispatch. A
+        // worker found dead here has its hangup noted and is skipped;
+        // the window will close without it.
         for (k, packets) in per_worker.into_iter().enumerate() {
             let ap_id = live[k];
             self.aligner
@@ -670,27 +625,8 @@ impl Deployment {
             // accounted identically whether the hangup was noticed
             // before this send, during it (`Disconnected`), or not yet
             // at all: *when* a crash is noticed never changes a byte.
-            let tx = self.slots[ap_id].tx.clone();
-            if let Some(tx) = tx {
-                let mut msg = WorkerMsg::Window { window, packets };
-                let mut counted = false;
-                loop {
-                    match tx.try_send(msg) {
-                        Ok(()) => break,
-                        Err(TrySendError::Full(m)) => {
-                            msg = m;
-                            if !counted {
-                                self.metrics.ingest_backpressure_events += 1;
-                                counted = true;
-                            }
-                            self.wait_for_progress();
-                        }
-                        Err(TrySendError::Disconnected(_)) => {
-                            self.note_hangup(ap_id);
-                            break;
-                        }
-                    }
-                }
+            if self.send(ap_id, WorkerMsg::Window { window, packets }) {
+                self.metrics.ingest_backpressure_events += 1;
             }
             self.metrics.packets_dispatched += dispatched_packets;
         }
@@ -737,11 +673,9 @@ impl Deployment {
             self.metrics.windows_stalled += 1;
         }
         if done.lost {
-            bin.lost_reports += 1;
             bin.lost_ap_ids.push(done.ap_id);
             self.metrics.reports_lost += 1;
         } else if !aligned.accepted {
-            bin.skew_rejected += 1;
             bin.skew_ap_ids.push(done.ap_id);
             self.metrics.skew_rejections += 1;
             self.per_ap_window_stats[done.ap_id].skew_rejections += 1;
@@ -779,36 +713,45 @@ impl Deployment {
         if let Some(bin) = self.bins.get_mut(&window) {
             if !bin.reported.contains(&ap_id) {
                 bin.reported.push(ap_id);
-                bin.markers_lost += 1;
                 bin.marker_lost_ap_ids.push(ap_id);
             }
         }
     }
 
-    /// Order one worker to shut down without blocking the coordinator.
-    /// The input channel is FIFO, so everything already queued still
-    /// processes first, and the worker's final flush sentinel then
-    /// closes any tail windows whose markers were lost. A full input
-    /// queue is waited out while draining reports (the same discipline
-    /// as dispatch), and a disconnected one means the worker already
-    /// died — its hangup is flagged and noted.
-    fn send_shutdown(&mut self, ap_id: usize) {
-        loop {
-            let Some(tx) = self.slots[ap_id].tx.clone() else {
-                return;
-            };
-            match tx.try_send(WorkerMsg::Shutdown) {
-                Ok(()) => {
-                    self.slots[ap_id].tx = None;
-                    return;
+    /// Deliver one message to AP `ap_id`'s worker without blocking the
+    /// coordinator: a full input queue is waited out while draining
+    /// reports, so workers stuck publishing finished windows can always
+    /// make progress — deep pipelining backs up gracefully instead of
+    /// deadlocking on a full channel cycle. A disconnected queue means
+    /// the worker already died: its hangup is noted and the message
+    /// dropped, as it is for a worker already hung up. Returns whether
+    /// the queue was ever full (backpressure).
+    fn send(&mut self, ap_id: usize, mut msg: WorkerMsg) -> bool {
+        let mut was_full = false;
+        while let Some(tx) = &self.slots[ap_id].tx {
+            match tx.try_send(msg) {
+                Ok(()) => break,
+                Err(TrySendError::Full(m)) => {
+                    msg = m;
+                    was_full = true;
+                    self.wait_for_progress();
                 }
-                Err(TrySendError::Full(_)) => self.wait_for_progress(),
                 Err(TrySendError::Disconnected(_)) => {
                     self.note_hangup(ap_id);
-                    return;
+                    break;
                 }
             }
         }
+        was_full
+    }
+
+    /// Order one worker to shut down and hang up its input. The input
+    /// channel is FIFO, so everything already queued still processes
+    /// first, and the worker's final flush sentinel then closes any
+    /// tail windows whose markers were lost.
+    fn send_shutdown(&mut self, ap_id: usize) {
+        self.send(ap_id, WorkerMsg::Shutdown);
+        self.slots[ap_id].tx = None;
     }
 
     /// Wait a beat for the workers to make progress, draining any
@@ -828,9 +771,7 @@ impl Deployment {
                     .slots
                     .iter()
                     .enumerate()
-                    .filter(|(_, s)| {
-                        s.alive && !s.hung && s.join.as_ref().is_some_and(|j| j.is_finished())
-                    })
+                    .filter(|(_, s)| s.alive && !s.hung && !s.running())
                     .map(|(id, _)| id)
                     .collect();
                 for ap_id in finished {
@@ -843,77 +784,29 @@ impl Deployment {
     /// Note that a worker's thread has exited: drain every report
     /// already in flight, stop sending to it, and flag the hangup. The
     /// drain-first order matters — a dead thread's sends all happened
-    /// before it exited, so they are already in the channel, and
-    /// draining salvages them no matter *where* the death was noticed
-    /// (timeout scan or a failed send). Deliberately does **not** end
-    /// the worker's membership: hangups are noticed at racy points, so
-    /// the membership end (retire, re-baseline, loss accounting) is
-    /// deferred to [`Deployment::finish_reap`], which
-    /// [`Deployment::collect_window`] runs at the first window the
-    /// worker failed to report — a deterministic point in window order.
+    /// before it exited, so draining salvages them no matter *where*
+    /// the death was noticed (timeout scan or a failed send).
+    /// Deliberately does **not** end the worker's membership: hangups
+    /// are noticed at racy points, so [`Deployment::end_membership`] is
+    /// deferred to [`Deployment::collect_window`], at the first window
+    /// the worker failed to report — a deterministic point in window
+    /// order.
     fn note_hangup(&mut self, ap_id: usize) {
         if !self.slots[ap_id].alive || self.slots[ap_id].hung {
             return;
         }
-        while let Ok(done) = self.up_rx.try_recv() {
-            self.route(done);
-        }
+        self.drain_until_exited(&[ap_id]);
         let slot = &mut self.slots[ap_id];
         slot.tx = None;
         slot.hung = true;
     }
 
-    /// End a hung worker's membership: forget its outstanding
-    /// dispatches, retire it from fusion/consensus, re-baseline, count
-    /// the loss. Only called from deterministic points (the collect
-    /// sweep and [`Deployment::remove_ap`]).
-    fn finish_reap(&mut self, ap_id: usize) {
-        let slot = &mut self.slots[ap_id];
-        if !slot.alive {
-            return;
-        }
-        slot.alive = false;
-        slot.tx = None;
-        if let Some(join) = slot.join.take() {
-            if let Ok((_ap, stats)) = join.join() {
-                // The AP object itself is dropped: a crashed worker's
-                // state is not trusted. Its counters are still real.
-                slot.final_stats = Some(stats);
-            }
-        }
-        self.aligner.forget_ap(ap_id);
-        self.fusion.retire_ap(ap_id);
-        self.health.mark_dead(ap_id);
-        self.metrics.worker_losses += 1;
-        self.fusion.rebaseline();
-    }
-
-    /// Immediate salvage-and-reap, for callers already at a
-    /// deterministic point (mid-removal).
-    fn reap_worker(&mut self, ap_id: usize) {
-        self.note_hangup(ap_id);
-        self.finish_reap(ap_id);
-    }
-
-    /// Reap a *live* worker whose stall run hit the watchdog: hang up
-    /// its input channel (the worker drains its queue and exits
-    /// normally at the next receive), drain its in-flight reports, end
-    /// its membership. Deterministic — triggered by a window count,
-    /// never a wall clock, and counted in
-    /// [`DeployMetrics::watchdog_reaps`] rather than `worker_losses`.
-    fn watchdog_reap(&mut self, ap_id: usize) {
-        if !self.slots[ap_id].alive {
-            return;
-        }
-        self.slots[ap_id].tx = None;
-        // The worker may be mid-publish on the shared report channel;
-        // keep draining until its thread has actually exited, or a full
-        // channel would deadlock the join below.
-        while self.slots[ap_id]
-            .join
-            .as_ref()
-            .is_some_and(|j| !j.is_finished())
-        {
+    /// Route reports until every listed worker thread has exited, then
+    /// sweep the stragglers. A worker's sends (markers, the final
+    /// flush) are *blocking* on the shared report channel, so joining a
+    /// thread that has not exited could deadlock on a full channel.
+    fn drain_until_exited(&mut self, ap_ids: &[usize]) {
+        while ap_ids.iter().any(|&k| self.slots[k].running()) {
             if let Ok(done) = self
                 .up_rx
                 .recv_timeout(std::time::Duration::from_millis(10))
@@ -924,18 +817,53 @@ impl Deployment {
         while let Ok(done) = self.up_rx.try_recv() {
             self.route(done);
         }
+    }
+
+    /// End AP `ap_id`'s membership — the one exit path for removal,
+    /// worker loss and watchdog reap. Hangs up the input (the worker
+    /// drains its queue and exits at the next receive), routes
+    /// everything it still owes *before* the aligner forgets it (a
+    /// report routed afterwards is unattributable and discarded), joins
+    /// the thread, keeps its run totals, retires it from alignment,
+    /// fusion and health, re-baselines consensus, and bumps exactly one
+    /// departure counter. Returns the AP only for a clean removal: a
+    /// lost or reaped worker's state is not trusted, though its
+    /// counters are. Only called from deterministic points (a collect,
+    /// or [`Deployment::remove_ap`]).
+    fn end_membership(&mut self, ap_id: usize, departure: Departure) -> Option<AccessPoint> {
+        debug_assert!(self.slots[ap_id].alive, "AP {ap_id} already departed");
+        self.slots[ap_id].tx = None;
+        self.drain_until_exited(&[ap_id]);
+        // Windows still outstanding after the drain died with a worker
+        // that never flushed them.
+        let flushed = self.aligner.pending(ap_id) == 0;
         let slot = &mut self.slots[ap_id];
         slot.alive = false;
-        if let Some(join) = slot.join.take() {
-            if let Ok((_ap, stats)) = join.join() {
+        let ap = match slot.join.take().map(JoinHandle::join) {
+            Some(Ok((ap, stats))) => {
                 slot.final_stats = Some(stats);
+                Some(ap)
             }
-        }
+            _ => None,
+        };
         self.aligner.forget_ap(ap_id);
         self.fusion.retire_ap(ap_id);
         self.health.mark_dead(ap_id);
-        self.metrics.watchdog_reaps += 1;
         self.fusion.rebaseline();
+        match departure {
+            Departure::Removed if flushed && ap.is_some() => {
+                self.metrics.aps_removed += 1;
+                ap
+            }
+            Departure::Watchdog => {
+                self.metrics.watchdog_reaps += 1;
+                None
+            }
+            _ => {
+                self.metrics.worker_losses += 1;
+                None
+            }
+        }
     }
 
     /// Is window `w`'s bin closable: every AP expected at submit has
@@ -984,7 +912,7 @@ impl Deployment {
             .filter(|&k| !bin.reported.contains(&k) && self.slots[k].alive && self.slots[k].hung)
             .collect();
         for ap_id in failed {
-            self.finish_reap(ap_id);
+            self.end_membership(ap_id, Departure::Lost);
         }
         for (ap_id, stats) in &bin.end_stats {
             self.per_ap_window_stats[*ap_id].absorb(stats);
@@ -1059,9 +987,9 @@ impl Deployment {
             missing_aps,
             quarantined.len(),
         );
-        fused.lost_reports = bin.lost_reports;
-        fused.skew_rejected = bin.skew_rejected;
-        fused.markers_lost = bin.markers_lost;
+        fused.lost_reports = bin.lost_ap_ids.len();
+        fused.skew_rejected = bin.skew_ap_ids.len();
+        fused.markers_lost = bin.marker_lost_ap_ids.len();
         fused.corrupt_reports = bin.corrupt_ap_ids.len();
         fused.stalled_aps = bin.stalled_ap_ids.len();
         fused.quarantined_aps = quarantined.len();
@@ -1159,7 +1087,9 @@ impl Deployment {
                     self.per_ap_window_stats[k].readmitted += 1;
                     self.fusion.rebaseline();
                 }
-                HealthAction::Reap(k) => self.watchdog_reap(k),
+                HealthAction::Reap(k) => {
+                    self.end_membership(k, Departure::Watchdog);
+                }
             }
         }
     }
@@ -1294,26 +1224,10 @@ impl Deployment {
                 break;
             }
         }
-        // A worker's final flush is a *blocking* send on the shared
-        // report channel; joining a worker still parked in that send
-        // (possible on small channels once every window has closed)
-        // would deadlock. Keep draining reports until every thread has
-        // actually exited, then sweep the stragglers.
-        while self
-            .slots
-            .iter()
-            .any(|s| s.join.as_ref().is_some_and(|j| !j.is_finished()))
-        {
-            if let Ok(done) = self
-                .up_rx
-                .recv_timeout(std::time::Duration::from_millis(10))
-            {
-                self.route(done);
-            }
-        }
-        while let Ok(done) = self.up_rx.try_recv() {
-            self.route(done);
-        }
+        // A worker still parked in its final flush (possible on small
+        // channels once every window has closed) must not be joined.
+        let all: Vec<usize> = (0..self.slots.len()).collect();
+        self.drain_until_exited(&all);
         let telemetry = self.telemetry.clone();
         let mut per_ap = Vec::with_capacity(self.slots.len());
         let mut aps = Vec::new();

@@ -4,7 +4,7 @@
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use sa_deploy::{DeployConfig, DeployError, Deployment, Transmission};
+use sa_deploy::{ApSkew, DeployConfig, DeployError, Deployment, HealthConfig, Transmission};
 use sa_testbed::Testbed;
 use secureangle::AccessPoint;
 
@@ -175,6 +175,86 @@ fn crashed_worker_never_stalls_a_window() {
     assert_eq!(report.metrics.worker_losses, 1);
     assert_eq!(report.metrics.degraded_windows, 1);
     assert_eq!(report.n_aps, 3);
+}
+
+/// Remove → `rejoin_ap` under the same id with the health layer on:
+/// the re-joiner keeps its stable id, comes back on probation (listed
+/// in `quarantined_aps()`, its reports withheld from fusion), is
+/// re-admitted after `probation_windows` clean windows, and its run
+/// totals span both stints.
+#[test]
+fn rejoined_ap_serves_probation_then_is_readmitted() {
+    const PROBATION: u32 = 3;
+    let tb = Testbed::deployment(4, 409);
+    let mut rng = ChaCha8Rng::seed_from_u64(410);
+    let clients = [5usize, 7, 16];
+    let all = [0usize, 1, 2, 3];
+    let w0 = window_for(&tb, &all, &clients, 0, &mut rng);
+    let w1 = window_for(&tb, &[0, 1, 2], &clients, 1, &mut rng);
+    let later: Vec<Vec<Transmission>> = (0..PROBATION as u16)
+        .map(|k| window_for(&tb, &all, &clients, 2 + k, &mut rng))
+        .collect();
+    let aps: Vec<AccessPoint> = tb.nodes.into_iter().map(|n| n.ap).collect();
+    let cfg = DeployConfig {
+        health: HealthConfig {
+            probation_windows: PROBATION,
+            ..HealthConfig::enabled()
+        },
+        ..DeployConfig::default()
+    };
+    let mut deployment = Deployment::new(aps, cfg);
+
+    deployment.run_window(w0).expect("4-AP window");
+    let removed = deployment.remove_ap(3).expect("remove");
+    assert!(deployment.quarantined_aps().is_empty());
+    deployment.run_window(w1).expect("3-AP window");
+
+    deployment
+        .rejoin_ap(3, removed, ApSkew::NONE)
+        .expect("rejoin under the old id");
+    assert_eq!(deployment.live_ap_ids(), vec![0, 1, 2, 3]);
+    assert_eq!(deployment.metrics().aps_rejoined, 1);
+    assert_eq!(
+        deployment.quarantined_aps(),
+        vec![3],
+        "rejoin starts on probation"
+    );
+
+    for (k, w) in later.into_iter().enumerate() {
+        let fused = deployment.run_window(w).expect("post-rejoin window");
+        let last = k + 1 == PROBATION as usize;
+        if last {
+            assert!(
+                deployment.quarantined_aps().is_empty(),
+                "probation served but AP 3 is still quarantined"
+            );
+            assert_eq!(
+                fused.quarantined_aps, 1,
+                "readmission applies from the next window"
+            );
+        } else {
+            assert_eq!(deployment.quarantined_aps(), vec![3], "window {}", k);
+            assert_eq!(fused.quarantined_aps, 1);
+        }
+        for c in &fused.clients {
+            assert_eq!(
+                c.n_aps, 3,
+                "a quarantined AP's bearings were fused: {:?}",
+                c
+            );
+        }
+    }
+    assert_eq!(deployment.metrics().aps_readmitted, 1);
+
+    let (report, aps) = deployment.finish();
+    assert_eq!(aps.len(), 4, "the re-joiner comes back with the live APs");
+    assert_eq!(report.n_aps, 4, "no new id for the re-joiner");
+    assert_eq!(report.metrics.aps_removed, 1);
+    assert_eq!(report.metrics.worker_losses, 0);
+    assert_eq!(report.per_ap[3].readmitted, 1);
+    // One window before the removal plus the whole probation.
+    assert_eq!(report.per_ap[3].windows, 1 + u64::from(PROBATION));
+    assert_eq!(report.per_ap[0].windows, 2 + u64::from(PROBATION));
 }
 
 /// Churn guard rails: unknown ids, double removal, and removing the

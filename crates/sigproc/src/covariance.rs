@@ -45,11 +45,11 @@ pub fn sample_covariance_into(x: &Snapshots, out: &mut CMat) {
 }
 
 /// [`sample_covariance_into`] over every `stride`-th snapshot column
-/// (`t = 0, stride, 2·stride, …`) — the decimated covariance the
-/// snapshot-capped deployment path runs on, fused so the strided
-/// snapshot set is never materialised as its own matrix. `stride == 1`
-/// is exactly [`sample_covariance_into`] (same accumulation order,
-/// bit-identical). Panics if `x` has no snapshots or `stride == 0`.
+/// (`t = 0, stride, 2·stride, …`) — a decimated covariance, fused so
+/// the strided snapshot set is never materialised as its own matrix.
+/// `stride == 1` is exactly [`sample_covariance_into`] (same
+/// accumulation order, bit-identical). Panics if `x` has no snapshots
+/// or `stride == 0`.
 pub fn sample_covariance_strided_into(x: &Snapshots, stride: usize, out: &mut CMat) {
     let m = x.rows();
     assert!(stride > 0, "sample_covariance: zero stride");

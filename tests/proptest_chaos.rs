@@ -219,4 +219,42 @@ proptest! {
         prop_assert_eq!(&base_fused, &fused, "crash run diverged under sharding");
         prop_assert_eq!(&base_report, &sharded_report, "crash report diverged under sharding");
     }
+
+    /// A stall longer than the watchdog gets the wedged worker reaped —
+    /// counted once as a watchdog reap, never as a worker loss — at the
+    /// collect of the window that completes the stall run, so the
+    /// degraded fleet is byte-identical on rerun and across shard
+    /// counts.
+    #[test]
+    fn watchdog_reap_ends_membership_byte_deterministically(
+        seed in 0u64..1_000,
+        n_clients in 4usize..=6,
+    ) {
+        let tb = Testbed::campus_with(n_clients, N_APS, seed);
+        let windows = gen_windows(&tb, n_clients, 8, seed);
+        let plan = FaultPlan {
+            seed,
+            events: vec![FaultEvent::Stall {
+                ap: (seed % N_APS as u64) as usize,
+                from_window: 1,
+                for_windows: 6,
+            }],
+        };
+        let run = |d| {
+            run_chaos(
+                n_clients, seed, &windows,
+                Some(plan.clone()), HealthConfig::enabled(),
+                d, 2,
+            )
+        };
+        let (base_fused, base_report, report) = run(1);
+        prop_assert_eq!(report.metrics.watchdog_reaps, 1, "the stall must be reaped once");
+        prop_assert_eq!(report.metrics.worker_losses, 0, "a reap is not a worker loss");
+        let (rerun_fused, rerun_report, _) = run(1);
+        prop_assert_eq!(&base_fused, &rerun_fused, "reap run diverged on rerun");
+        prop_assert_eq!(&base_report, &rerun_report, "reap report diverged on rerun");
+        let (fused, sharded_report, _) = run(2);
+        prop_assert_eq!(&base_fused, &fused, "reap run diverged under sharding");
+        prop_assert_eq!(&base_report, &sharded_report, "reap report diverged under sharding");
+    }
 }
