@@ -61,14 +61,12 @@ fn bench_deploy_throughput(c: &mut Criterion) {
         // accuracy suites run at 96–128 snapshots) keeps the per-AP DSP
         // term small relative to the shared decode. Identical config on
         // every AP count, so the comparison stays apples-to-apples.
-        // Since PR 5 the group runs streamed (`windows_in_flight = 2`):
-        // each iteration submits one window and collects the oldest, so
-        // the steady state overlaps coordinator decode with worker DSP —
-        // the production operating mode.
+        // The group pipelines by hand at depth 2: each iteration
+        // submits one window and collects the oldest, so the steady
+        // state overlaps coordinator decode with worker DSP.
         let depth = 2;
         let cfg = DeployConfig {
             snapshot_cap: 128,
-            windows_in_flight: depth,
             ..DeployConfig::default()
         };
         let mut deployment = Deployment::new(aps, cfg);
@@ -94,20 +92,18 @@ fn bench_deploy_throughput(c: &mut Criterion) {
     group.finish();
 }
 
-/// Pipelining depth ablation at 4 APs: the same 8-window workload run
-/// through `run_stream` at depths 1, 2 and 4. Depth 1 is the PR-4
-/// submit-then-collect behavior; the depth-2 gain is the coordinator
-/// decode / worker DSP overlap the streamed-windows work bought
-/// (outputs are byte-identical at every depth — see the deploy e2e
-/// suite).
+/// Pipelining depth ablation at 4 APs: the same 8-window workload at
+/// depth 1 (`run_stream`, submit-then-collect) and depth 2 (a
+/// submit/collect loop with two windows in flight, so coordinator
+/// decode overlaps worker DSP). Outputs are byte-identical at every
+/// depth — see the deploy e2e suite.
 fn bench_deploy_streamed(c: &mut Criterion) {
     let n_aps = 4;
     let mut group = c.benchmark_group("deploy_streamed");
-    for depth in [1usize, 2, 4] {
+    for depth in [1usize, 2] {
         let (aps, txs) = window_for(n_aps, 7001);
         let cfg = DeployConfig {
             snapshot_cap: 128,
-            windows_in_flight: depth,
             ..DeployConfig::default()
         };
         let mut deployment = Deployment::new(aps, cfg);
@@ -117,7 +113,20 @@ fn bench_deploy_streamed(c: &mut Criterion) {
         group.bench_function(format!("aps_4_depth_{}", depth), |b| {
             b.iter(|| {
                 let windows: Vec<_> = (0..8).map(|_| txs.clone()).collect();
-                deployment.run_stream(windows).expect("stream")
+                if depth == 1 {
+                    return deployment.run_stream(windows).expect("stream");
+                }
+                let mut fused = Vec::with_capacity(windows.len());
+                for w in windows {
+                    while deployment.pending_windows() >= depth {
+                        fused.push(deployment.collect_window().expect("collect"));
+                    }
+                    deployment.submit_window(w).expect("submit");
+                }
+                while deployment.pending_windows() > 0 {
+                    fused.push(deployment.collect_window().expect("collect"));
+                }
+                fused
             })
         });
     }

@@ -5,17 +5,17 @@
 //! The headline comparison is `clients_2000_decode_1` vs
 //! `clients_2000_decode_4`: the same 2000-transmission window (1024-byte
 //! data frames — the realistic regime where stage-1 decode dominates the
-//! coordinator) with the stage-1 decode run serially vs fanned across a
-//! 4-thread decode pool. Fused output is byte-identical either way (see
-//! the `decode_shards` e2e suite and `tests/proptest_fleet.rs`); only
-//! the wall-clock changes. Dividing the per-window time into the
-//! `fixes/window` info line printed per operating point gives aggregate
-//! fused-fix throughput.
+//! coordinator) with the stage-1 decode run serially vs split into 4
+//! runs (the coordinator plus three scoped threads). Fused output is
+//! byte-identical either way (see the `decode_shards` e2e suite and
+//! `tests/proptest_fleet.rs`); only the wall-clock changes. Dividing
+//! the per-window time into the `fixes/window` info line printed per
+//! operating point gives aggregate fused-fix throughput.
 //!
-//! **Host caveat**: on a single-core host the decode pool cannot beat
-//! serial decode — the 4-shard rows then price the pool's channel
-//! overhead, and the multi-core speedup must be read from a multi-core
-//! run (see docs/BENCHMARKS.md). Under `BENCH_QUICK=1` (CI) the
+//! **Host caveat**: on a single-core host the fan-out cannot beat
+//! serial decode — the 4-shard rows then price its thread spawns, and
+//! the multi-core speedup must be read from a multi-core run (see
+//! docs/BENCHMARKS.md). Under `BENCH_QUICK=1` (CI) the
 //! 2000-client rows are skipped: their setup alone (8 000 captures,
 //! ~8 GB) dwarfs the quick measurement budget.
 
@@ -66,7 +66,6 @@ fn bench_deploy_fleet(c: &mut Criterion) {
             // the decode stage — the thing being sharded — dominates.
             let cfg = DeployConfig {
                 snapshot_cap: 64,
-                windows_in_flight: DEPTH,
                 decode_shards,
                 ..DeployConfig::default()
             };

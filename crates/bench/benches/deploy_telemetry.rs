@@ -50,7 +50,6 @@ fn bench_deploy_telemetry(c: &mut Criterion) {
         let depth = 2;
         let cfg = DeployConfig {
             snapshot_cap: 128,
-            windows_in_flight: depth,
             telemetry,
             ..DeployConfig::default()
         };

@@ -166,17 +166,6 @@ pub struct DeployConfig {
     pub max_skew_windows: u64,
     /// Report-channel loss model (defaults to a reliable channel).
     pub link: LinkConfig,
-    /// Pipelining depth for [`crate::Deployment::run_stream`]: how many
-    /// windows may be submitted before the oldest is collected. At the
-    /// default of `1` streaming degenerates to the synchronous
-    /// submit-then-collect loop; at `≥ 2` the coordinator's stage-1
-    /// decode of the next window overlaps with the workers' per-AP DSP
-    /// on the previous one, which is where single-window runs leave the
-    /// coordinator core idle. Fused results are byte-identical at any
-    /// depth (window close/align/fusion semantics are unchanged —
-    /// pinned by the deploy e2e suites); only the overlap differs.
-    /// `0` is treated as `1`.
-    pub windows_in_flight: usize,
     /// Weight each bearing by its report confidence in the fused
     /// least-squares fix ([`secureangle::localize::localize_weighted`])
     /// instead of weighting all bearings equally. Off by default:
@@ -184,14 +173,13 @@ pub struct DeployConfig {
     /// it on for degraded deployments where marginal through-wall
     /// bearings should pull fixes less.
     pub weight_bearings_by_confidence: bool,
-    /// Stage-1 decode pool size. At the default of `1` the coordinator
-    /// decodes reference captures inline, serially — the pre-fleet
-    /// behavior exactly. At `N > 1` a pool of `N` persistent decode
-    /// threads shares the work, keyed by transmission sequence number
-    /// (transmission `seq` goes to shard `seq % N`); the coordinator
-    /// consumes results **in seq order**, so dispatch order, failure
-    /// counting and every downstream byte are identical to the serial
-    /// path. `0` is treated as `1`.
+    /// Stage-1 decode fan-out. Each submitted window's transmissions
+    /// are split into `N` contiguous runs: the coordinator decodes the
+    /// first run itself and one scoped thread each of the rest. At the
+    /// default of `1` nothing is spawned — serial inline decode. The
+    /// results are gathered **in seq order**, so dispatch order,
+    /// failure counting and every downstream byte are identical at any
+    /// `N`. `0` is treated as `1`.
     pub decode_shards: usize,
     /// Probability that an AP's end-of-window *marker* is lost in `[0,
     /// 1]`. The marker rides the control path, which earlier releases
@@ -201,9 +189,17 @@ pub struct DeployConfig {
     /// window. Requires `marker_timeout_windows ≥ 1` (enforced at
     /// deployment construction): without gap detection a lost marker
     /// desynchronises the per-AP FIFO and stalls the window forever.
-    /// Draws come from a dedicated per-AP seeded stream (independent of
-    /// the report-loss stream, so enabling one never shifts the
-    /// other's draws).
+    /// Even with it, a lost marker is only revealed by a *later*
+    /// window's marker or by the shutdown flush, so collect each window
+    /// while later ones are in flight (submit ahead with
+    /// [`crate::Deployment::submit_window`]) and let
+    /// [`crate::Deployment::finish`] close the tail; a window collected
+    /// with nothing submitted after it — as in
+    /// [`crate::Deployment::run_window`] and
+    /// [`crate::Deployment::run_stream`] — can wait forever. Draws come
+    /// from a dedicated per-AP seeded stream (independent of the
+    /// report-loss stream, so enabling one never shifts the other's
+    /// draws).
     pub marker_loss_rate: f64,
     /// Marker gap-detection close policy: when a marker from an AP
     /// aligns `d` windows *ahead* of the AP's expected FIFO position
@@ -218,17 +214,20 @@ pub struct DeployConfig {
     /// candidate gaps against the independent sequence-label channel,
     /// so a drifting label is no longer mistaken for a gap (see
     /// [`crate::align::SkewAligner`]). Detection needs a *later* marker
-    /// from the gapped AP, so run with `windows_in_flight >
-    /// marker_timeout_windows` (a synchronous submit/collect loop never
-    /// sends the revealing later window). The deployment's final flush
-    /// closes any gap at the tail of the run.
+    /// from the gapped AP, within `marker_timeout_windows` windows of
+    /// the gap: collect a window only while the windows after it are
+    /// already submitted — a synchronous submit/collect loop never
+    /// sends the revealing later marker. Nothing but shutdown reveals a
+    /// gap at the tail of the run: leave the last windows uncollected
+    /// and [`crate::Deployment::finish`] closes them with the workers'
+    /// final flush.
     pub marker_timeout_windows: u64,
     /// Scripted fault injection ([`crate::faults::FaultPlan`]). `None`
     /// (the default) injects nothing and is byte-transparent: the fault
     /// layer is zero-cost-off, pinned by `tests/proptest_chaos.rs`.
     /// Every injected fault is a pure function of the plan and the
     /// window number, so seeded chaos runs are byte-reproducible at any
-    /// shard/stream knob setting.
+    /// decode shard count and pipelining depth.
     pub faults: Option<FaultPlan>,
     /// AP health scoring, quarantine and the stall watchdog
     /// ([`crate::health::FleetHealth`]). Disabled by default — the
@@ -259,7 +258,6 @@ impl Default for DeployConfig {
             max_skew_windows: 2,
             link: LinkConfig::default(),
             weight_bearings_by_confidence: false,
-            windows_in_flight: 1,
             decode_shards: 1,
             marker_loss_rate: 0.0,
             marker_timeout_windows: 0,
@@ -334,9 +332,6 @@ mod tests {
         assert!(cfg.link.retry_limit >= 1);
         assert_eq!(cfg.max_skew_windows, 2);
         assert!(!cfg.weight_bearings_by_confidence);
-        // Streaming off by default: depth-1 pipelining is the
-        // synchronous submit-then-collect behavior exactly.
-        assert_eq!(cfg.windows_in_flight, 1);
         // Fleet knobs off by default: inline serial decode, reliable
         // markers, no gap detection — byte-compatible
         // with the pre-fleet coordinator.

@@ -1,6 +1,6 @@
-//! The deployment coordinator: N AP worker threads, a sharded stage-1
-//! decode pool, skew-tolerant window scheduling, AP churn, and the
-//! fusion drain.
+//! The deployment coordinator: N AP worker threads, a stage-1 decode
+//! fanned out over scoped threads, skew-tolerant window scheduling, AP
+//! churn, and the fusion drain.
 //!
 //! Windows close on end-of-window markers (never wall clocks), but the
 //! markers are no longer assumed perfect: workers stamp them with their
@@ -30,7 +30,7 @@ use sa_telemetry::{Histogram, StageTimer, TelemetrySnapshot};
 use secureangle::pipeline::{decode_reference, DecodedPacket};
 use secureangle::AccessPoint;
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender, TrySendError};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -123,89 +123,6 @@ struct WindowBin {
     withheld: Vec<crate::report::ApPacket>,
 }
 
-/// One stage-1 decode job: a transmission's reference capture, keyed
-/// by its in-window sequence number.
-struct DecodeJob {
-    seq: usize,
-    buffer: Arc<CMat>,
-}
-
-/// The stage-1 decode pool: [`crate::DeployConfig::decode_shards`]
-/// persistent threads, jobs routed by sequence number (`seq % shards`)
-/// and the unordered results reassembled by index — so the pooled path
-/// produces byte-identical metrics and dispatches to the serial one.
-/// Threads exit when the pool (and with it every job sender) drops.
-struct DecodePool {
-    job_txs: Vec<Sender<DecodeJob>>,
-    done_rx: Receiver<(usize, Option<Arc<DecodedPacket>>)>,
-    _joins: Vec<JoinHandle<()>>,
-}
-
-impl DecodePool {
-    fn new(
-        shards: usize,
-        modulation: Modulation,
-        telemetry: Option<&Arc<DeployTelemetry>>,
-    ) -> Self {
-        let (done_tx, done_rx) = channel();
-        let mut job_txs = Vec::with_capacity(shards);
-        let mut joins = Vec::with_capacity(shards);
-        for shard in 0..shards {
-            let (tx, rx) = channel::<DecodeJob>();
-            let done = done_tx.clone();
-            // Per-shard `stage.decode` histogram handle (None unless
-            // stage timing is on) — write-only, so the pooled decode
-            // path stays byte-identical with telemetry on or off.
-            let hist = telemetry.and_then(|t| t.stage("stage.decode", "shard", shard));
-            let join = std::thread::Builder::new()
-                .name(format!("sa-deploy-decode{}", shard))
-                .spawn(move || {
-                    while let Ok(job) = rx.recv() {
-                        let decoded = {
-                            let _span = StageTimer::start(hist.as_deref());
-                            decode_reference(&job.buffer, modulation).ok().map(Arc::new)
-                        };
-                        if done.send((job.seq, decoded)).is_err() {
-                            break;
-                        }
-                    }
-                })
-                .expect("spawn decode worker");
-            job_txs.push(tx);
-            joins.push(join);
-        }
-        Self {
-            job_txs,
-            done_rx,
-            _joins: joins,
-        }
-    }
-
-    /// Decode one window's reference captures across the pool,
-    /// returning the results indexed by sequence number (`None` = no
-    /// detectable packet). Independent of thread scheduling: fan-out is
-    /// a pure function of `seq`, and gathering is by index.
-    fn decode_window(&self, transmissions: &[Transmission]) -> Vec<Option<Arc<DecodedPacket>>> {
-        let n = self.job_txs.len();
-        for (seq, t) in transmissions.iter().enumerate() {
-            let _ = self.job_txs[seq % n].send(DecodeJob {
-                seq,
-                buffer: t.per_ap[0].clone(),
-            });
-        }
-        let mut out: Vec<Option<Arc<DecodedPacket>>> = vec![None; transmissions.len()];
-        for _ in 0..transmissions.len() {
-            match self.done_rx.recv() {
-                Ok((seq, decoded)) => out[seq] = decoded,
-                // Every decode thread died — the missing entries read
-                // as decode failures rather than wedging the ingest.
-                Err(_) => break,
-            }
-        }
-        out
-    }
-}
-
 /// A running multi-AP deployment (see the crate docs for the data
 /// flow). Construction spawns one worker thread per AP; dropping
 /// without [`Deployment::finish`] shuts the workers down but discards
@@ -247,9 +164,10 @@ pub struct Deployment {
     /// Positions by stable AP id (retired ids keep their entry).
     ap_positions: Vec<Point>,
     slots: Vec<WorkerSlot>,
-    /// Stage-1 decode pool; `None` ⇒ inline serial decode
-    /// (`decode_shards <= 1`).
-    decode_pool: Option<DecodePool>,
+    /// One `stage.decode{shard=i}` handle per stage-1 decode run
+    /// ([`DeployConfig::decode_shards`] of them, at least one); `None`
+    /// entries unless stage timing is on. The length sets the fan-out.
+    decode_hists: Vec<Option<Arc<Histogram>>>,
     up_tx: SyncSender<WindowDone>,
     up_rx: Receiver<WindowDone>,
     fusion: Fusion,
@@ -267,8 +185,6 @@ pub struct Deployment {
     /// The shared telemetry bundle; `None` when
     /// [`DeployConfig::telemetry`] is disabled (the default).
     telemetry: Option<Arc<DeployTelemetry>>,
-    /// `stage.decode` handle for the inline (poolless) decode path.
-    inline_decode_hist: Option<Arc<Histogram>>,
     /// Periodic snapshot hook: `(every_windows, callback)`, fired from
     /// [`Deployment::collect_window`].
     dump_hook: Option<(u64, DumpHook)>,
@@ -306,11 +222,13 @@ impl Deployment {
         let ap_positions: Vec<Point> = aps.iter().map(|ap| ap.config().position).collect();
         let n_aps = aps.len();
         let telemetry = DeployTelemetry::new(cfg.telemetry);
-        let inline_decode_hist = telemetry
-            .as_ref()
-            .and_then(|t| t.stage("stage.decode", "shard", 0));
-        let decode_pool = (cfg.decode_shards > 1)
-            .then(|| DecodePool::new(cfg.decode_shards, modulation, telemetry.as_ref()));
+        let decode_hists = (0..cfg.decode_shards.max(1))
+            .map(|shard| {
+                telemetry
+                    .as_ref()
+                    .and_then(|t| t.stage("stage.decode", "shard", shard))
+            })
+            .collect();
 
         let (up_tx, up_rx) = sync_channel(cfg.channel_capacity.max(1));
         let mut aligner = SkewAligner::new(cfg.max_skew_windows);
@@ -334,14 +252,13 @@ impl Deployment {
         Self {
             fusion,
             telemetry,
-            inline_decode_hist,
             dump_hook: None,
             cfg,
             health,
             modulation,
             ap_positions,
             slots,
-            decode_pool,
+            decode_hists,
             up_tx,
             up_rx,
             aligner,
@@ -531,21 +448,6 @@ impl Deployment {
         self.health.quarantined_aps()
     }
 
-    /// Make AP `ap_id`'s worker die abruptly without reporting — test
-    /// fault injection for the crash-tolerance path (a real panic or
-    /// power loss looks identical to the coordinator: the thread is
-    /// gone and its windows must close without it).
-    #[doc(hidden)]
-    pub fn crash_worker(&mut self, ap_id: usize) -> Result<(), DeployError> {
-        match self.slots.get(ap_id).and_then(|s| s.tx.as_ref()) {
-            Some(tx) => {
-                let _ = tx.send(WorkerMsg::Crash);
-                Ok(())
-            }
-            None => Err(DeployError::UnknownAp { ap_id }),
-        }
-    }
-
     /// Ingest one observation window of traffic: run the shared stage-1
     /// decode per transmission and dispatch the per-AP captures (plus
     /// the shared [`secureangle::DecodedPacket`]) to every live worker.
@@ -570,23 +472,10 @@ impl Deployment {
         let window = self.next_window;
         self.next_window += 1;
 
-        // Stage 1, once per transmission (reference capture = the first
-        // live AP's) — fanned across the decode pool when it exists,
-        // inline otherwise. Either way the results are consumed in
+        // Stage 1, once per transmission. The results are consumed in
         // sequence order below, so metrics and dispatches are
         // byte-identical across shard counts.
-        let decoded_by_seq: Vec<Option<Arc<DecodedPacket>>> = match &self.decode_pool {
-            Some(pool) => pool.decode_window(&transmissions),
-            None => transmissions
-                .iter()
-                .map(|t| {
-                    let _span = StageTimer::start(self.inline_decode_hist.as_deref());
-                    decode_reference(&t.per_ap[0], self.modulation)
-                        .ok()
-                        .map(Arc::new)
-                })
-                .collect(),
-        };
+        let decoded_by_seq = decode_window(&transmissions, self.modulation, &self.decode_hists);
         let mut per_worker: Vec<Vec<WorkerPacket>> = (0..live.len()).map(|_| Vec::new()).collect();
         for (seq, (t, decoded)) in transmissions.into_iter().zip(decoded_by_seq).enumerate() {
             self.metrics.transmissions += 1;
@@ -1152,8 +1041,8 @@ impl Deployment {
     }
 
     /// Submit one window and immediately collect it — the synchronous
-    /// convenience path. [`Deployment::run_stream`] pipelines several
-    /// windows in flight instead.
+    /// path. Pipeline by hand with [`Deployment::submit_window`] and
+    /// [`Deployment::collect_window`] to keep more windows in flight.
     pub fn run_window(
         &mut self,
         transmissions: Vec<Transmission>,
@@ -1167,32 +1056,32 @@ impl Deployment {
         self.pending.len()
     }
 
-    /// Run a sequence of windows with up to
-    /// [`DeployConfig::windows_in_flight`] of them in flight: while the
-    /// workers chew on window *w*'s DSP, the coordinator already runs
-    /// stage-1 decode for *w+1* (and beyond, up to the depth) instead
-    /// of idling until the fuse. Fused windows come back in submission
-    /// order and are byte-identical to the depth-1 (submit-then-collect)
-    /// loop — streaming changes the overlap, never the numbers.
+    /// Run a sequence of windows, one at a time — each is submitted and
+    /// then collected — and return them fused in submission order,
+    /// after any windows that were already in flight. Keeping a second
+    /// window in flight measured no faster on a 2-core host — the AP
+    /// workers already fill the cores the overlapped decode would use —
+    /// and fused bytes are identical at any depth, so this path does
+    /// not pipeline.
     ///
-    /// On an error the windows fused so far are lost to the caller;
-    /// in-flight ones remain collectable via
-    /// [`Deployment::collect_window`] (and [`Deployment::finish`] still
-    /// drains them).
+    /// Not for runs with [`DeployConfig::marker_loss_rate`] > 0: a lost
+    /// marker is only revealed by a *later* window's marker or by the
+    /// shutdown flush, so a window collected with nothing submitted
+    /// after it can wait forever. Under marker loss, submit ahead,
+    /// collect while later windows are in flight, and let
+    /// [`Deployment::finish`] close the tail.
+    ///
+    /// On an error the windows fused so far are lost to the caller.
     pub fn run_stream(
         &mut self,
         windows: Vec<Vec<Transmission>>,
     ) -> Result<Vec<FusedWindow>, DeployError> {
-        let depth = self.cfg.windows_in_flight.max(1);
         let mut out = Vec::with_capacity(windows.len());
         for transmissions in windows {
-            while self.pending.len() >= depth {
+            self.submit_window(transmissions)?;
+            while !self.pending.is_empty() {
                 out.push(self.collect_window()?);
             }
-            self.submit_window(transmissions)?;
-        }
-        while !self.pending.is_empty() {
-            out.push(self.collect_window()?);
         }
         Ok(out)
     }
@@ -1350,6 +1239,47 @@ fn worker_tap(telemetry: Option<&Arc<DeployTelemetry>>, ap_id: usize) -> Option<
     Some(WorkerTap {
         dsp: t.stage("stage.worker_dsp", "ap", ap_id)?,
         enforce: t.stage("stage.enforce", "ap", ap_id)?,
+    })
+}
+
+/// Stage-1 decode of one window's reference captures (each
+/// transmission's first capture), split into `decode_hists.len()`
+/// contiguous runs: the calling thread decodes the first run and one
+/// scoped thread each of the rest, each run timed into its own
+/// histogram. Results are gathered in sequence order, so the run count
+/// never changes a byte downstream; `None` = no detectable packet. A
+/// panicking run propagates its panic to the caller.
+fn decode_window(
+    transmissions: &[Transmission],
+    modulation: Modulation,
+    decode_hists: &[Option<Arc<Histogram>>],
+) -> Vec<Option<Arc<DecodedPacket>>> {
+    let decode_run = |run: &[Transmission], hist: Option<&Histogram>| {
+        run.iter()
+            .map(|t| {
+                let _span = StageTimer::start(hist);
+                decode_reference(&t.per_ap[0], modulation)
+                    .ok()
+                    .map(Arc::new)
+            })
+            .collect::<Vec<_>>()
+    };
+    let run_len = transmissions.len().div_ceil(decode_hists.len()).max(1);
+    let mut runs = transmissions
+        .chunks(run_len)
+        .zip(decode_hists.iter().map(Option::as_deref));
+    let Some((first, first_hist)) = runs.next() else {
+        return Vec::new();
+    };
+    std::thread::scope(|scope| {
+        let rest: Vec<_> = runs
+            .map(|(run, hist)| scope.spawn(move || decode_run(run, hist)))
+            .collect();
+        let mut out = decode_run(first, first_hist);
+        for run in rest {
+            out.extend(run.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
+        }
+        out
     })
 }
 

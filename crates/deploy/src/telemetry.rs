@@ -1,6 +1,6 @@
 //! Deployment-side telemetry glue: the shared registry/flight-recorder
-//! bundle threaded through the coordinator, workers, decode pool and
-//! fusion stage, plus the rich per-client window event the flight
+//! bundle threaded through the coordinator, workers, stage-1 decode
+//! and fusion stage, plus the rich per-client window event the flight
 //! recorder keeps.
 //!
 //! Everything here is **strictly out-of-band**: stage timers record
@@ -125,7 +125,7 @@ impl ClientWindowEvent {
 
 /// The telemetry bundle a [`crate::Deployment`] owns when
 /// [`crate::DeployConfig::telemetry`] is enabled, shared (`Arc`) with
-/// the decode pool, worker threads and fusion stage.
+/// the stage-1 decode, worker threads and fusion stage.
 pub(crate) struct DeployTelemetry {
     pub cfg: TelemetryConfig,
     pub registry: Registry,

@@ -36,9 +36,6 @@ pub(crate) enum WorkerMsg {
         window: u64,
         packets: Vec<WorkerPacket>,
     },
-    /// Die abruptly without reporting anything (test-only fault
-    /// injection: models a worker crash / power loss mid-run).
-    Crash,
     /// Drain and exit.
     Shutdown,
 }
@@ -183,7 +180,6 @@ pub(crate) fn run_worker(
                 });
                 break;
             }
-            WorkerMsg::Crash => return (ap, totals),
             WorkerMsg::Window { window, packets } => (window, packets),
         };
         // Scripted faults for this window: a pure function of the plan

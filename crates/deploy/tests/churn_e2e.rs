@@ -4,7 +4,10 @@
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use sa_deploy::{ApSkew, DeployConfig, DeployError, Deployment, HealthConfig, Transmission};
+use sa_deploy::{
+    ApSkew, DeployConfig, DeployError, Deployment, FaultEvent, FaultPlan, HealthConfig,
+    Transmission,
+};
 use sa_testbed::Testbed;
 use secureangle::AccessPoint;
 
@@ -147,11 +150,16 @@ fn crashed_worker_never_stalls_a_window() {
     let w2 = window_for(&tb, &[0, 1], &clients, 2, &mut rng);
     let aps: Vec<AccessPoint> = tb.nodes.into_iter().map(|n| n.ap).collect();
 
-    let mut deployment = Deployment::new(aps, DeployConfig::default());
+    // AP 2's worker dies as window 1 reaches it, before it reports.
+    let cfg = DeployConfig {
+        faults: Some(FaultPlan {
+            seed: 405,
+            events: vec![FaultEvent::Crash { ap: 2, window: 1 }],
+        }),
+        ..DeployConfig::default()
+    };
+    let mut deployment = Deployment::new(aps, cfg);
     deployment.run_window(w0).expect("clean window");
-    // Crash AP 2, then submit a window that (per FIFO) it will never
-    // process: the crash message sits ahead of the window in its queue.
-    deployment.crash_worker(2).expect("inject crash");
     deployment.submit_window(w1).expect("submit");
     let fused = deployment.collect_window().expect("must not deadlock");
     // The window was submitted while AP 2 still counted as live, so it

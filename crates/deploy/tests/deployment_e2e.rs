@@ -330,10 +330,10 @@ fn undecodable_transmissions_are_counted_and_skipped() {
     assert_eq!(report.metrics.decode_failures, 1);
 }
 
-/// Streamed windows (`windows_in_flight ≥ 2`) overlap the coordinator's
-/// stage-1 decode with the workers' DSP — and must not change a single
-/// byte of the fused output, in clean *and* degraded (lossy + skewed)
-/// deployments.
+/// Pipelined windows (several submitted before the oldest is
+/// collected) overlap the coordinator's stage-1 decode with the
+/// workers' DSP — and must not change a single byte of the fused
+/// output, in clean *and* degraded (lossy + skewed) deployments.
 #[test]
 fn streamed_windows_are_byte_identical_to_sequential() {
     let degraded = DeployConfig {
@@ -360,14 +360,19 @@ fn streamed_windows_are_byte_identical_to_sequential() {
 
         let run = |depth: usize| {
             let (aps, windows) = make();
-            let cfg = DeployConfig {
-                windows_in_flight: depth,
-                ..base_cfg.clone()
-            };
-            let mut deployment = Deployment::new(aps, cfg);
-            let fused = deployment.run_stream(windows).expect("stream");
-            // Streaming must actually be engaged: nothing pending at the
-            // end, every window fused, in submission order.
+            let mut deployment = Deployment::new(aps, base_cfg.clone());
+            let mut fused = Vec::new();
+            for w in windows {
+                while deployment.pending_windows() >= depth {
+                    fused.push(deployment.collect_window().expect("collect"));
+                }
+                deployment.submit_window(w).expect("submit");
+            }
+            while deployment.pending_windows() > 0 {
+                fused.push(deployment.collect_window().expect("collect"));
+            }
+            // Nothing pending at the end, every window fused, in
+            // submission order.
             assert_eq!(deployment.pending_windows(), 0);
             let (report, _) = deployment.finish();
             (fused, report)
@@ -390,5 +395,9 @@ fn streamed_windows_are_byte_identical_to_sequential() {
             assert_eq!(report.metrics.fixes, seq_report.metrics.fixes);
             assert_eq!(report.metrics.reports_lost, seq_report.metrics.reports_lost);
         }
+        // `run_stream` is the depth-1 loop.
+        let (aps, windows) = make();
+        let mut deployment = Deployment::new(aps, base_cfg.clone());
+        assert_eq!(deployment.run_stream(windows).expect("stream"), seq);
     }
 }

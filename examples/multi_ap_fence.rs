@@ -11,7 +11,7 @@
 //!
 //! ```text
 //! cargo run --release --example multi_ap_fence [-- --aps 4 --windows 3 --seed 2010 --smoke]
-//!     [--loss 0.1] [--retries 3] [--skew 2] [--churn] [--stream 2]
+//!     [--loss 0.1] [--retries 3] [--skew 2] [--churn] [--stream]
 //!     [--chaos 6] [--metrics-out telemetry.prom]
 //! ```
 //!
@@ -19,12 +19,12 @@
 //! probability `R` per attempt with `--retries` retransmits; `--skew W`
 //! gives every AP a deterministic clock offset of up to ±`W` windows
 //! (tolerance grows to match); `--churn` removes the last AP before the
-//! attack window, exercising mid-run membership change. `--stream D`
-//! runs the steady-state windows through `Deployment::run_stream` with
-//! `windows_in_flight = D` (coordinator decode overlaps worker DSP;
-//! byte-identical output at any depth). `--smoke` asserts the headline
-//! claims (used by CI, with and without the degraded knobs) and exits
-//! non-zero on failure.
+//! attack window, exercising mid-run membership change. `--stream`
+//! runs the steady-state windows through `Deployment::run_stream`
+//! (submit-then-collect, one window at a time) instead of submitting
+//! them all ahead; the fused output is byte-identical either way.
+//! `--smoke` asserts the headline claims (used by CI, with and without
+//! the degraded knobs) and exits non-zero on failure.
 //!
 //! `--chaos SEED` attaches the canonical scripted fault schedule
 //! ([`sa_deploy::faults::FaultPlan::scripted`]) — one AP turns
@@ -73,7 +73,7 @@ fn main() {
     let retries: u32 = arg("--retries").and_then(|s| s.parse().ok()).unwrap_or(3);
     let skew: i64 = arg("--skew").and_then(|s| s.parse().ok()).unwrap_or(0);
     let churn = flag("--churn");
-    let stream: usize = arg("--stream").and_then(|s| s.parse().ok()).unwrap_or(0);
+    let stream = flag("--stream");
     let chaos: Option<u64> = arg("--chaos").and_then(|s| s.parse().ok());
     let smoke = flag("--smoke");
     let metrics_out = arg("--metrics-out");
@@ -194,7 +194,6 @@ fn main() {
             seed: seed ^ 0x105e,
         },
         max_skew_windows: skew.unsigned_abs().max(2),
-        windows_in_flight: stream.max(1),
         faults: fault_plan.clone(),
         health: if chaos.is_some() {
             HealthConfig::enabled()
@@ -223,10 +222,9 @@ fn main() {
         Deployment::new(aps, cfg)
     };
     let mut fused = Vec::new();
-    if stream > 0 {
-        // Bounded pipelining: at most `stream` windows in flight, the
-        // coordinator decoding ahead while workers chew. Same fused
-        // bytes as the submit-all path below.
+    if stream {
+        // One window at a time through `run_stream`. Same fused bytes
+        // as the submit-all path below.
         fused.extend(
             deployment
                 .run_stream(windows)

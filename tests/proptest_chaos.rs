@@ -4,11 +4,11 @@
 //! and at every decode shard count — must never deadlock or
 //! panic, and a disabled fault layer must be byte-transparent.
 //!
-//! Pipelining depth (`windows_in_flight`) joins the knob matrix for
-//! every fault family that preserves membership (corruption, byzantine
-//! bias, burst loss, stalls below the watchdog, drift onset, and the
-//! quarantine machinery — quarantine decisions are made at collect
-//! time, strictly in window order). Faults that *end* membership
+//! Pipelining depth (windows in flight, kept by a submit/collect loop)
+//! joins the knob matrix for every fault family that preserves
+//! membership (corruption, byzantine bias, burst loss, stalls below the
+//! watchdog, drift onset, and the quarantine machinery — quarantine
+//! decisions are made at collect time, strictly in window order). Faults that *end* membership
 //! (crashes, watchdog reaps) are pinned per-depth instead: the set of
 //! windows already submitted when an AP dies is part of the depth's
 //! semantics — a depth-1 operator stops sending a dead AP traffic one
@@ -71,18 +71,16 @@ fn run_chaos(
     faults: Option<FaultPlan>,
     health: HealthConfig,
     decode_shards: usize,
-    windows_in_flight: usize,
+    depth: usize,
 ) -> (String, String, DeploymentReport) {
     let tb = Testbed::campus_with(n_clients, N_APS, seed);
     let aps: Vec<_> = tb.nodes.into_iter().map(|n| n.ap).collect();
     let cfg = DeployConfig {
         decode_shards,
-        windows_in_flight,
         faults,
         health,
         ..DeployConfig::default()
     };
-    let depth = windows_in_flight.max(1);
     let mut deployment = Deployment::new(aps, cfg);
     let mut fused = Vec::new();
     for w in windows {

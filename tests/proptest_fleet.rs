@@ -35,7 +35,7 @@ fn run_config(
     windows: &[Vec<Transmission>],
     backend: ScanBackend,
     decode_shards: usize,
-    windows_in_flight: usize,
+    depth: usize,
 ) -> (String, String) {
     let tb = Testbed::campus_customized(n_clients, N_APS, seed, |cfg| {
         cfg.aoa.scan_backend = backend;
@@ -43,11 +43,20 @@ fn run_config(
     let aps: Vec<_> = tb.nodes.into_iter().map(|n| n.ap).collect();
     let cfg = DeployConfig {
         decode_shards,
-        windows_in_flight,
         ..DeployConfig::default()
     };
     let mut deployment = Deployment::new(aps, cfg);
-    let fused = deployment.run_stream(windows.to_vec()).expect("stream");
+    // Pipeline by hand: at most `depth` windows in flight.
+    let mut fused = Vec::new();
+    for w in windows {
+        while deployment.pending_windows() >= depth {
+            fused.push(deployment.collect_window().expect("collect"));
+        }
+        deployment.submit_window(w.clone()).expect("submit");
+    }
+    while deployment.pending_windows() > 0 {
+        fused.push(deployment.collect_window().expect("collect"));
+    }
     let (report, _) = deployment.finish();
     (format!("{:?}", fused), masked_report(&report))
 }
@@ -58,7 +67,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
     /// Fused `DeploymentReport`s are byte-identical across decode-shard
-    /// counts {1, 2, 4} × `windows_in_flight` {1, 2, 4} (and whatever
+    /// counts {1, 2, 4} × pipelining depths {1, 2, 4} (and whatever
     /// worker interleavings those induce) on randomized campus
     /// scenarios.
     #[test]

@@ -36,7 +36,7 @@ fn run_config(
     seed: u64,
     windows: &[Vec<Transmission>],
     backend: ScanBackend,
-    (decode_shards, windows_in_flight): (usize, usize),
+    (decode_shards, depth): (usize, usize),
     telemetry: TelemetryConfig,
 ) -> (String, String) {
     let tb = Testbed::campus_customized(n_clients, N_APS, seed, |cfg| {
@@ -45,12 +45,21 @@ fn run_config(
     let aps: Vec<_> = tb.nodes.into_iter().map(|n| n.ap).collect();
     let cfg = DeployConfig {
         decode_shards,
-        windows_in_flight,
         telemetry,
         ..DeployConfig::default()
     };
     let mut deployment = Deployment::new(aps, cfg);
-    let fused = deployment.run_stream(windows.to_vec()).expect("stream");
+    // Pipeline by hand: at most `depth` windows in flight.
+    let mut fused = Vec::new();
+    for w in windows {
+        while deployment.pending_windows() >= depth {
+            fused.push(deployment.collect_window().expect("collect"));
+        }
+        deployment.submit_window(w.clone()).expect("submit");
+    }
+    while deployment.pending_windows() > 0 {
+        fused.push(deployment.collect_window().expect("collect"));
+    }
     let (report, _) = deployment.finish();
     (format!("{:?}", fused), masked_report(&report))
 }
@@ -62,7 +71,7 @@ proptest! {
 
     /// Fused windows and masked reports are byte-identical with
     /// telemetry enabled (`TelemetryConfig::full()`) vs disabled, across
-    /// decode shards {1, 4} × `windows_in_flight` {1, 4} on randomized
+    /// decode shards {1, 4} × pipelining depths {1, 4} on randomized
     /// campus scenarios.
     #[test]
     fn telemetry_never_changes_fused_bytes(
