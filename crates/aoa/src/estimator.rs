@@ -28,7 +28,6 @@
 //! assert!(angle_diff_deg(est.bearing_deg(), 50.0, true) < 3.0);
 //! ```
 
-use crate::backends::{coarse_to_fine_scan, Candidate, RootMusicBackend};
 use crate::beamform::{bartlett_spectrum, capon_spectrum};
 use crate::confidence::ConfidenceModel;
 use crate::manifold::{ScanSpace, SteeringTable};
@@ -71,75 +70,6 @@ pub enum Smoothing {
     },
 }
 
-/// How the MUSIC spectrum search is executed (MUSIC only — the
-/// Bartlett/Capon baselines always scan their full grid).
-///
-/// The exhaustive grid scan is the always-available oracle: every other
-/// backend is property-tested against it (`tests/proptest_backends.rs`)
-/// and any can be selected per-deployment without touching the rest of
-/// the pipeline.
-///
-/// ```
-/// use sa_aoa::estimator::{estimate, AoaConfig, ScanBackend};
-/// use sa_aoa::pseudospectrum::angle_diff_deg;
-/// use sa_array::geometry::Array;
-/// use sa_linalg::{C64, CMat};
-///
-/// let array = Array::paper_octagon();
-/// let steer = array.steering(50f64.to_radians());
-/// let x = CMat::from_fn(array.len(), 128, |m, t| steer[m] * C64::cis(0.9 * t as f64));
-/// for backend in [
-///     ScanBackend::Exhaustive,
-///     ScanBackend::coarse_to_fine(),
-///     ScanBackend::RootMusic,
-/// ] {
-///     let cfg = AoaConfig { scan_backend: backend, ..AoaConfig::default() };
-///     let est = estimate(&x, &array, &cfg);
-///     assert!(angle_diff_deg(est.bearing_deg(), 50.0, true) < 3.0);
-/// }
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum ScanBackend {
-    /// Evaluate the pseudospectrum at every grid point (the default and
-    /// the reference oracle; bit-identical to the historical pipeline).
-    #[default]
-    Exhaustive,
-    /// Scan a `decimate`-times coarser grid, rescan the full-rate grid
-    /// only around coarse maxima, then polish each peak on the
-    /// continuous steering response to `refine_tol_deg`. Same peak set
-    /// as the exhaustive scan (to within the refinement tolerance) at a
-    /// fraction of the per-packet work; peak bearings are no longer
-    /// quantised to the grid. See [`ScanBackend::coarse_to_fine`] for
-    /// the tuned defaults.
-    CoarseToFine {
-        /// Coarse-grid decimation factor (values ≤ 1 degrade to the
-        /// exhaustive scan).
-        decimate: usize,
-        /// Stop refining a peak once its bracket is this narrow
-        /// (degrees).
-        refine_tol_deg: f64,
-    },
-    /// Root-MUSIC: root the noise-subspace polynomial instead of
-    /// scanning. Only Vandermonde manifolds (physical ULAs, the Davies
-    /// virtual ULA — i.e. every production configuration) have the
-    /// required structure; physical *circular* scan spaces fall back to
-    /// the exhaustive scan. Bearings are continuous (no grid), the
-    /// attached spectrum is synthesized from the noise polynomial on a
-    /// fixed decimated grid.
-    RootMusic,
-}
-
-impl ScanBackend {
-    /// The tuned coarse-to-fine configuration: 6× decimation, 0.05°
-    /// refinement tolerance.
-    pub fn coarse_to_fine() -> Self {
-        Self::CoarseToFine {
-            decimate: 6,
-            refine_tol_deg: 0.05,
-        }
-    }
-}
-
 /// How circular arrays are scanned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CircularHandling {
@@ -168,9 +98,6 @@ pub struct AoaConfig {
     pub grid_step_deg: f64,
     /// Capon diagonal loading (fraction of mean eigenvalue).
     pub capon_loading: f64,
-    /// How the MUSIC spectrum search is executed. The default
-    /// exhaustive scan is the oracle the other backends are pinned to.
-    pub scan_backend: ScanBackend,
     /// Which confidence the estimate carries (see
     /// [`ConfidenceModel`]); the default leaves confidence computation
     /// to the downstream peak-power split, unchanged from the
@@ -187,7 +114,6 @@ impl Default for AoaConfig {
             circular: CircularHandling::ModeSpace,
             grid_step_deg: 1.0,
             capon_loading: 1e-6,
-            scan_backend: ScanBackend::Exhaustive,
             confidence: ConfidenceModel::PeakPower,
         }
     }
@@ -332,15 +258,6 @@ pub struct AoaEngine {
     table: Option<SteeringTable>,
     /// Resolved decorrelation plan.
     plan: SmoothingPlan,
-    /// Resolved scan backend: the configured backend after downgrading
-    /// combinations the manifold cannot support (root-MUSIC on a
-    /// physical circular space, coarse-to-fine with `decimate ≤ 1`).
-    backend: ScanBackend,
-    /// Root-MUSIC state (polynomial rooter + fixed signature grid),
-    /// built only when the resolved backend is [`ScanBackend::RootMusic`].
-    root: Option<RootMusicBackend>,
-    /// Steering-vector scratch for continuous refinement evaluations.
-    steer_buf: Vec<C64>,
     /// Reusable eigensolver buffers.
     eig_ws: EighWorkspace,
     /// Reusable eigendecomposition output.
@@ -389,35 +306,10 @@ impl AoaEngine {
             _ => base_space,
         };
 
-        // 3. Resolve the scan backend against what the manifold
-        //    supports. Root-MUSIC needs Vandermonde steering (physical
-        //    circular spaces have none); a coarse grid that isn't
-        //    actually coarser is just the exhaustive scan.
-        let mut root = None;
-        let backend = match (cfg.method, cfg.scan_backend) {
-            (Method::Music, ScanBackend::RootMusic) => {
-                match RootMusicBackend::try_new(&space, cfg.grid_step_deg) {
-                    Some(r) => {
-                        root = Some(r);
-                        ScanBackend::RootMusic
-                    }
-                    None => ScanBackend::Exhaustive,
-                }
-            }
-            (Method::Music, ScanBackend::CoarseToFine { decimate, .. }) if decimate <= 1 => {
-                ScanBackend::Exhaustive
-            }
-            (Method::Music, b) => b,
-            // Bartlett/Capon always scan their full grid.
-            _ => ScanBackend::Exhaustive,
-        };
-
-        // 4. The manifold, evaluated once (MUSIC's hot path; the
-        //    Bartlett/Capon baselines never read it, and root-MUSIC
-        //    replaces the grid entirely).
-        let table = (matches!(cfg.method, Method::Music)
-            && !matches!(backend, ScanBackend::RootMusic))
-        .then(|| space.steering_table(cfg.grid_step_deg));
+        // 3. The manifold, evaluated once (MUSIC's hot path; the
+        //    Bartlett/Capon baselines never read it).
+        let table =
+            matches!(cfg.method, Method::Music).then(|| space.steering_table(cfg.grid_step_deg));
 
         Self {
             cfg: *cfg,
@@ -425,9 +317,6 @@ impl AoaEngine {
             space,
             table,
             plan,
-            backend,
-            root,
-            steer_buf: Vec::new(),
             eig_ws: EighWorkspace::new(),
             eig: EigH {
                 values: Vec::new(),
@@ -516,63 +405,24 @@ impl AoaEngine {
             1
         };
 
-        // 4. Spectrum — per scan backend for MUSIC. Backends that know
-        //    their peaks already (off-grid, refined) hand back an
-        //    explicit candidate list; the exhaustive oracle path and the
-        //    baselines extract peaks from the spectrum as before.
+        // 4. Spectrum.
         let k_music = n_sources.min(m.saturating_sub(1)).max(1);
-        let (spectrum, candidates): (Pseudospectrum, Option<Vec<Candidate>>) = match self.cfg.method
-        {
-            Method::Music => match self.backend {
-                ScanBackend::Exhaustive => {
-                    let table = self.table.as_ref().expect("table built for Music in new()");
-                    (music_spectrum_from_table(&self.eig, table, k_music), None)
-                }
-                ScanBackend::CoarseToFine {
-                    decimate,
-                    refine_tol_deg,
-                } => {
-                    let table = self.table.as_ref().expect("table built for Music in new()");
-                    let (s, c) = coarse_to_fine_scan(
-                        &self.eig,
-                        table,
-                        &self.space,
-                        k_music,
-                        decimate,
-                        refine_tol_deg,
-                        &mut self.steer_buf,
-                    );
-                    (s, Some(c))
-                }
-                ScanBackend::RootMusic => {
-                    let root = self
-                        .root
-                        .as_mut()
-                        .expect("root built for RootMusic in new()");
-                    let (s, c) = root.scan(&self.eig, k_music);
-                    (s, Some(c))
-                }
-            },
-            Method::Bartlett => (
-                bartlett_spectrum(ra, &self.space, self.cfg.grid_step_deg),
-                None,
-            ),
-            Method::Capon => (
-                capon_spectrum(
-                    ra,
-                    &self.space,
-                    self.cfg.grid_step_deg,
-                    self.cfg.capon_loading,
-                ),
-                None,
+        let spectrum = match self.cfg.method {
+            Method::Music => {
+                let table = self.table.as_ref().expect("table built for Music in new()");
+                music_spectrum_from_table(&self.eig, table, k_music)
+            }
+            Method::Bartlett => bartlett_spectrum(ra, &self.space, self.cfg.grid_step_deg),
+            Method::Capon => capon_spectrum(
+                ra,
+                &self.space,
+                self.cfg.grid_step_deg,
+                self.cfg.capon_loading,
             ),
         };
 
         // 5. Candidate peaks ranked by received power toward them.
-        let ranked_peaks = match candidates {
-            None => rank_peaks(&spectrum, ra, &self.space, self.table.as_ref()),
-            Some(c) => rank_candidates(&c, ra, &self.space),
-        };
+        let ranked_peaks = rank_peaks(&spectrum, ra, &self.space, self.table.as_ref());
 
         // 6. Per-packet SNR and the CRLB it implies. The eigenvalue
         //    split reports the *subspace* SNR over the m-dimensional
@@ -631,7 +481,6 @@ fn rank_peaks(
 ) -> Vec<super::estimator::RankedPeak> {
     use sa_linalg::matrix::vnorm;
     let peaks = spectrum.find_peaks(1.0, 8);
-    let quad_over_norm = |a: &[C64], norm_sqr: f64| bartlett_power(ra, a, norm_sqr);
     let mut ranked: Vec<RankedPeak> = peaks
         .iter()
         .map(|p| {
@@ -641,38 +490,17 @@ fn rank_peaks(
                     .ok()
             });
             let power = match (table, grid_idx) {
-                (Some(t), Some(i)) => quad_over_norm(t.steering(i), t.norm_sqr(i)),
+                (Some(t), Some(i)) => bartlett_power(ra, t.steering(i), t.norm_sqr(i)),
                 _ => {
                     let az = space.azimuth_of_present(p.angle_deg);
                     let a = space.steering(az);
-                    quad_over_norm(&a, vnorm(&a).powi(2))
+                    bartlett_power(ra, &a, vnorm(&a).powi(2))
                 }
             };
             RankedPeak {
                 angle_deg: p.angle_deg,
                 music_value: p.value,
                 power,
-            }
-        })
-        .collect();
-    ranked.sort_by(|a, b| b.power.total_cmp(&a.power));
-    ranked
-}
-
-/// Rank explicit backend candidates (possibly off-grid) by Bartlett
-/// power — the candidate-list counterpart of [`rank_peaks`], sharing its
-/// power computation and ordering.
-fn rank_candidates(cands: &[Candidate], ra: &CMat, space: &ScanSpace) -> Vec<RankedPeak> {
-    use sa_linalg::matrix::vnorm;
-    let mut ranked: Vec<RankedPeak> = cands
-        .iter()
-        .map(|c| {
-            let az = space.azimuth_of_present(c.angle_deg);
-            let a = space.steering(az);
-            RankedPeak {
-                angle_deg: c.angle_deg,
-                music_value: c.value,
-                power: bartlett_power(ra, &a, vnorm(&a).powi(2)),
             }
         })
         .collect();
@@ -1051,141 +879,6 @@ mod tests {
         };
         let b = est.bearing_deg();
         assert!((0.0..360.0).contains(&b));
-    }
-
-    #[test]
-    fn coarse_to_fine_backend_matches_exhaustive_oracle() {
-        // The coarse-to-fine backend must find the same peak set as the
-        // exhaustive oracle (within one grid cell — its refined bearings
-        // are continuous) and never change the rest of the estimate.
-        for (array, base) in [
-            (Array::paper_octagon(), AoaConfig::default()),
-            (
-                Array::paper_linear(8),
-                AoaConfig {
-                    source_count: SourceCount::Fixed(2),
-                    ..AoaConfig::default()
-                },
-            ),
-        ] {
-            let c2f_cfg = AoaConfig {
-                scan_backend: ScanBackend::coarse_to_fine(),
-                ..base
-            };
-            let mut oracle = AoaEngine::new(&array, &base);
-            let mut fast = AoaEngine::new(&array, &c2f_cfg);
-            for seed in 0..6u64 {
-                let az1 = (20.0 + 50.0 * seed as f64).to_radians();
-                let az2 = (140.0 + 30.0 * seed as f64).to_radians();
-                let x = coherent_snapshots(
-                    &array,
-                    &[(az1, C64::new(1.0, 0.0)), (az2, C64::from_polar(0.6, 1.3))],
-                    128,
-                    0.01,
-                    seed,
-                );
-                let r = sample_covariance(&x);
-                let o = oracle.estimate_cov(&r, x.cols());
-                let f = fast.estimate_cov(&r, x.cols());
-                assert_eq!(f.n_sources, o.n_sources, "seed {}", seed);
-                assert_eq!(f.eigenvalues, o.eigenvalues, "seed {}", seed);
-                assert!(
-                    angle_diff_deg(f.bearing_deg(), o.bearing_deg(), o.spectrum.wraps) <= 1.0,
-                    "seed {}: c2f {} vs oracle {}",
-                    seed,
-                    f.bearing_deg(),
-                    o.bearing_deg()
-                );
-                // Every oracle peak has a refined counterpart nearby.
-                for po in &o.ranked_peaks {
-                    assert!(
-                        f.ranked_peaks.iter().any(|pf| angle_diff_deg(
-                            pf.angle_deg,
-                            po.angle_deg,
-                            o.spectrum.wraps
-                        ) <= 1.0),
-                        "seed {}: oracle peak {}° missing from c2f {:?}",
-                        seed,
-                        po.angle_deg,
-                        f.ranked_peaks
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn root_music_backend_matches_exhaustive_oracle() {
-        for (array, base) in [
-            (Array::paper_octagon(), AoaConfig::default()),
-            (Array::paper_linear(8), AoaConfig::default()),
-        ] {
-            let root_cfg = AoaConfig {
-                scan_backend: ScanBackend::RootMusic,
-                ..base
-            };
-            let mut oracle = AoaEngine::new(&array, &base);
-            let mut root = AoaEngine::new(&array, &root_cfg);
-            for seed in 0..6u64 {
-                let az = (25.0 + 47.0 * seed as f64).to_radians();
-                let x = coherent_snapshots(&array, &[(az, C64::new(1.0, 0.0))], 128, 0.01, seed);
-                let r = sample_covariance(&x);
-                let o = oracle.estimate_cov(&r, x.cols());
-                let f = root.estimate_cov(&r, x.cols());
-                assert_eq!(f.n_sources, o.n_sources, "seed {}", seed);
-                // The oracle is grid-quantised (±0.5° at the 1° default)
-                // while root-MUSIC is continuous; one grid cell is the
-                // honest agreement bound.
-                assert!(
-                    angle_diff_deg(f.bearing_deg(), o.bearing_deg(), o.spectrum.wraps) <= 1.0,
-                    "seed {}: root {} vs oracle {}",
-                    seed,
-                    f.bearing_deg(),
-                    o.bearing_deg()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn root_music_falls_back_to_exhaustive_on_physical_circular() {
-        // A physical circular manifold has no Vandermonde structure:
-        // the engine must degrade to the exhaustive scan and reproduce
-        // it exactly.
-        let array = Array::paper_octagon();
-        let base = AoaConfig {
-            circular: CircularHandling::Physical,
-            smoothing: Smoothing::None,
-            ..AoaConfig::default()
-        };
-        let root_cfg = AoaConfig {
-            scan_backend: ScanBackend::RootMusic,
-            ..base
-        };
-        let x = coherent_snapshots(&array, &[(1.2, C64::new(1.0, 0.0))], 96, 0.01, 9);
-        let r = sample_covariance(&x);
-        let o = AoaEngine::new(&array, &base).estimate_cov(&r, x.cols());
-        let f = AoaEngine::new(&array, &root_cfg).estimate_cov(&r, x.cols());
-        assert_eq!(f.spectrum, o.spectrum);
-        assert_eq!(f.ranked_peaks, o.ranked_peaks);
-    }
-
-    #[test]
-    fn degenerate_coarse_to_fine_degrades_to_exhaustive() {
-        let array = Array::paper_octagon();
-        let cfg = AoaConfig {
-            scan_backend: ScanBackend::CoarseToFine {
-                decimate: 1,
-                refine_tol_deg: 0.05,
-            },
-            ..AoaConfig::default()
-        };
-        let x = coherent_snapshots(&array, &[(0.7, C64::new(1.0, 0.0))], 96, 0.01, 11);
-        let r = sample_covariance(&x);
-        let o = AoaEngine::new(&array, &AoaConfig::default()).estimate_cov(&r, x.cols());
-        let f = AoaEngine::new(&array, &cfg).estimate_cov(&r, x.cols());
-        assert_eq!(f.spectrum, o.spectrum);
-        assert_eq!(f.ranked_peaks, o.ranked_peaks);
     }
 
     #[test]

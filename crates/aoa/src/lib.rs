@@ -13,9 +13,6 @@
 //! * [`two_antenna`] — the paper's Equation 1 (and its multipath
 //!   breakdown);
 //! * [`source_count`] — AIC/MDL signal-subspace dimension estimation;
-//! * [`backends`] — the coarse-to-fine and root-MUSIC scan backends
-//!   behind [`estimator::ScanBackend`] (the exhaustive grid scan in
-//!   [`music`] stays the always-available oracle);
 //! * [`confidence`] — CRLB-weighted per-bearing confidence from the
 //!   eigenvalue-split SNR;
 //! * [`estimator`] — the configured end-to-end pipeline shared by the AP
@@ -24,7 +21,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod backends;
 pub mod beamform;
 pub mod confidence;
 pub mod estimator;
@@ -36,8 +32,7 @@ pub mod two_antenna;
 
 pub use confidence::{crlb_confidence, crlb_sigma_deg, ula_bearing_sigma_deg, ConfidenceModel};
 pub use estimator::{
-    estimate, estimate_from_covariance, AoaConfig, AoaEngine, AoaEstimate, Method, ScanBackend,
-    Smoothing,
+    estimate, estimate_from_covariance, AoaConfig, AoaEngine, AoaEstimate, Method, Smoothing,
 };
 pub use manifold::{ScanSpace, SteeringTable};
 pub use music::music_spectrum;

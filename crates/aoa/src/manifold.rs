@@ -127,43 +127,6 @@ impl ScanSpace {
         }
     }
 
-    /// Evaluate the steering vector at azimuth `az` into a caller-owned
-    /// buffer — the allocation-free form of [`ScanSpace::steering`].
-    ///
-    /// The coarse-to-fine backend's refinement loop evaluates the
-    /// manifold at off-grid angles many times per peak; routing those
-    /// evaluations through a reused buffer keeps the per-packet hot path
-    /// allocation-free (the same discipline as `AoaEngine`'s covariance
-    /// scratch). Produces exactly the values of [`ScanSpace::steering`].
-    pub fn steering_into(&self, az: f64, out: &mut Vec<C64>) {
-        out.clear();
-        match self {
-            Self::Ula { array, used } => {
-                let k = 2.0 * std::f64::consts::PI / array.wavelength();
-                let (ux, uy) = (az.cos(), az.sin());
-                out.extend(
-                    array.elements()[..*used]
-                        .iter()
-                        .map(|&(x, y)| C64::cis(k * (x * ux + y * uy))),
-                );
-            }
-            Self::Circular { array } => {
-                let k = 2.0 * std::f64::consts::PI / array.wavelength();
-                let (ux, uy) = (az.cos(), az.sin());
-                out.extend(
-                    array
-                        .elements()
-                        .iter()
-                        .map(|&(x, y)| C64::cis(k * (x * ux + y * uy))),
-                );
-            }
-            Self::Virtual { modespace, used } => {
-                let h = modespace.order();
-                out.extend((-h..=h).take(*used).map(|m| C64::cis(m as f64 * az)));
-            }
-        }
-    }
-
     /// Scan grid of azimuths (radians) in presentation order.
     pub fn grid(&self, step_deg: f64) -> Vec<f64> {
         match self {
@@ -359,36 +322,6 @@ mod tests {
         // Presentation order ascending.
         let pres: Vec<f64> = g.iter().map(|&az| v.present_deg(az)).collect();
         assert!(pres.windows(2).all(|w| w[0] < w[1]));
-    }
-
-    #[test]
-    fn steering_into_matches_steering_all_variants() {
-        let spaces = [
-            ScanSpace::physical(&Array::paper_linear(8)),
-            ScanSpace::physical(&Array::paper_linear(8)).truncated(5),
-            ScanSpace::physical(&Array::paper_octagon()),
-            ScanSpace::virtual_ula(&Array::paper_octagon()),
-            ScanSpace::virtual_ula(&Array::paper_octagon()).truncated(4),
-        ];
-        let mut buf = Vec::new();
-        for space in &spaces {
-            for i in 0..12 {
-                let az = -1.0 + 0.55 * i as f64;
-                let want = space.steering(az);
-                space.steering_into(az, &mut buf);
-                assert_eq!(buf.len(), want.len());
-                for (a, b) in buf.iter().zip(&want) {
-                    assert!(
-                        a.approx_eq(*b, 0.0),
-                        "{:?} az {}: {:?} vs {:?}",
-                        space,
-                        az,
-                        a,
-                        b
-                    );
-                }
-            }
-        }
     }
 
     #[test]

@@ -83,13 +83,6 @@ pub fn music_spectrum_from_table(
 /// The per-grid-point kernel of [`music_spectrum_from_table`], staged
 /// once per packet: maps a steering vector (plus its squared norm) to
 /// the MUSIC pseudospectrum value.
-///
-/// Factored out so the coarse-to-fine backend can evaluate the *same*
-/// spectrum — bit for bit, at shared grid points — on a decimated grid
-/// and at arbitrary off-grid refinement angles, without duplicating the
-/// staging logic. The operations per value are exactly the previous
-/// inline loop's (Rust floating point is strictly ordered, so the
-/// factoring cannot change results).
 pub(crate) struct NoiseProjector<'a> {
     eig: &'a EigH,
     m: usize,
@@ -203,46 +196,6 @@ impl<'a> NoiseProjector<'a> {
         // physical dynamic range).
         let denom = denom.max(num * 1e-30);
         num / denom
-    }
-
-    /// [`NoiseProjector::value`] computing `‖a‖²` on the fly — for
-    /// off-grid refinement angles with no table entry.
-    pub(crate) fn value_auto(&self, a: &[sa_linalg::C64]) -> f64 {
-        let num: f64 = a.iter().map(|z| z.norm_sqr()).sum();
-        self.value(a, num)
-    }
-
-    /// The projection subspace expressed as lag sums
-    /// `c_k = Σ_i C[i, i+k]` of the projector matrix `C = E·E^H`, for
-    /// `k = 0..m` — the coefficients root-MUSIC builds its polynomial
-    /// from. When the staged subspace is the *signal* one
-    /// (`complement`), converts to the noise projector via
-    /// `I − E_s·E_s^H` (lag sums of the identity: `m` at lag 0, zero at
-    /// every other lag).
-    pub(crate) fn noise_lag_sums(&self) -> Vec<sa_linalg::C64> {
-        let m = self.m;
-        let mut c = vec![ZERO; m];
-        for k in 0..self.n_proj {
-            let col = self.eig.vectors.col_view(self.first_col + k);
-            let v: Vec<sa_linalg::C64> = col.iter().collect();
-            for lag in 0..m {
-                let mut acc = ZERO;
-                for i in 0..m - lag {
-                    acc += v[i] * v[i + lag].conj();
-                }
-                c[lag] += acc;
-            }
-        }
-        if self.complement {
-            // Noise projector = I − E_s·E_s^H; lag sums of I are
-            // m·δ_{k0} (the k-th superdiagonal of the identity sums to
-            // zero for k ≥ 1, and to m on the main diagonal).
-            for (lag, ck) in c.iter_mut().enumerate() {
-                let ident = if lag == 0 { m as f64 } else { 0.0 };
-                *ck = sa_linalg::c64(ident - ck.re, -ck.im);
-            }
-        }
-        c
     }
 }
 

@@ -4,9 +4,7 @@
 //! time rather than accuracy.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use sa_aoa::estimator::{
-    estimate_from_covariance, AoaConfig, AoaEngine, Method, ScanBackend, Smoothing,
-};
+use sa_aoa::estimator::{estimate_from_covariance, AoaConfig, AoaEngine, Method, Smoothing};
 use sa_aoa::source_count::SourceCount;
 use sa_aoa::ConfidenceModel;
 use sa_array::geometry::Array;
@@ -93,29 +91,6 @@ fn bench_engine_reuse(c: &mut Criterion) {
     group.finish();
 }
 
-/// The spectrum-search backends head to head on the production octagon
-/// path, each behind a reused engine so only the scan differs: the
-/// exhaustive 1° oracle vs decimated coarse-to-fine refinement vs the
-/// grid-free root-MUSIC polynomial.
-fn bench_scan_backends(c: &mut Criterion) {
-    let array = Array::paper_octagon();
-    let r = two_path_cov(&array);
-    let mut group = c.benchmark_group("aoa_backends");
-    for (label, backend) in [
-        ("exhaustive", ScanBackend::Exhaustive),
-        ("coarse_to_fine", ScanBackend::coarse_to_fine()),
-        ("root_music", ScanBackend::RootMusic),
-    ] {
-        let cfg = AoaConfig {
-            scan_backend: backend,
-            ..Default::default()
-        };
-        let mut engine = AoaEngine::new(&array, &cfg);
-        group.bench_function(label, |b| b.iter(|| engine.estimate_cov(&r, 512)));
-    }
-    group.finish();
-}
-
 /// Cost of the CRLB confidence model relative to the historical
 /// peak-power path (the sigma is computed either way; `crlb` only adds
 /// the `1/(1+σ)` map, so the two should be indistinguishable).
@@ -161,7 +136,6 @@ criterion_group!(
     bench_smoothing_variants,
     bench_modespace_transform,
     bench_engine_reuse,
-    bench_scan_backends,
     bench_confidence_models,
     bench_source_count,
     bench_peak_extraction

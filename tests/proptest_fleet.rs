@@ -7,7 +7,6 @@
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use sa_aoa::estimator::ScanBackend;
 use sa_deploy::{DeployConfig, Deployment, Transmission};
 use sa_testbed::Testbed;
 
@@ -33,13 +32,10 @@ fn run_config(
     n_clients: usize,
     seed: u64,
     windows: &[Vec<Transmission>],
-    backend: ScanBackend,
     decode_shards: usize,
     depth: usize,
 ) -> (String, String) {
-    let tb = Testbed::campus_customized(n_clients, N_APS, seed, |cfg| {
-        cfg.aoa.scan_backend = backend;
-    });
+    let tb = Testbed::campus_with(n_clients, N_APS, seed);
     let aps: Vec<_> = tb.nodes.into_iter().map(|n| n.ap).collect();
     let cfg = DeployConfig {
         decode_shards,
@@ -87,12 +83,9 @@ proptest! {
             })
             .collect();
 
-        let (base_fused, base_report) =
-            run_config(n_clients, seed, &windows, ScanBackend::Exhaustive, 1, 1);
+        let (base_fused, base_report) = run_config(n_clients, seed, &windows, 1, 1);
         for (decode, depth) in [(2usize, 2usize), (4, 4)] {
-            let (fused, report) = run_config(
-                n_clients, seed, &windows, ScanBackend::Exhaustive, decode, depth,
-            );
+            let (fused, report) = run_config(n_clients, seed, &windows, decode, depth);
             prop_assert_eq!(
                 &base_fused, &fused,
                 "fused windows diverged at decode={} depth={}",
@@ -102,28 +95,6 @@ proptest! {
                 &base_report, &report,
                 "report diverged at decode={} depth={}",
                 decode, depth
-            );
-        }
-
-        // The scan-backend knob joins the matrix: each backend must be
-        // deterministic under sharding too (the backends may disagree
-        // *with each other* on bearings — that equivalence is
-        // `proptest_backends`' contract, not this one's — but a given
-        // backend must never let thread interleaving reach its bytes).
-        for backend in [ScanBackend::coarse_to_fine(), ScanBackend::RootMusic] {
-            let (b_fused, b_report) =
-                run_config(n_clients, seed, &windows, backend, 1, 1);
-            let (fused, report) =
-                run_config(n_clients, seed, &windows, backend, 2, 2);
-            prop_assert_eq!(
-                &b_fused, &fused,
-                "fused windows diverged under sharding for {:?}",
-                backend
-            );
-            prop_assert_eq!(
-                &b_report, &report,
-                "report diverged under sharding for {:?}",
-                backend
             );
         }
     }

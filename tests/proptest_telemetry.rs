@@ -7,7 +7,6 @@
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use sa_aoa::estimator::ScanBackend;
 use sa_deploy::{DeployConfig, Deployment, TelemetryConfig, Transmission};
 use sa_testbed::Testbed;
 
@@ -35,13 +34,10 @@ fn run_config(
     n_clients: usize,
     seed: u64,
     windows: &[Vec<Transmission>],
-    backend: ScanBackend,
     (decode_shards, depth): (usize, usize),
     telemetry: TelemetryConfig,
 ) -> (String, String) {
-    let tb = Testbed::campus_customized(n_clients, N_APS, seed, |cfg| {
-        cfg.aoa.scan_backend = backend;
-    });
+    let tb = Testbed::campus_with(n_clients, N_APS, seed);
     let aps: Vec<_> = tb.nodes.into_iter().map(|n| n.ap).collect();
     let cfg = DeployConfig {
         decode_shards,
@@ -66,7 +62,7 @@ fn run_config(
 
 proptest! {
     // Debug-mode DSP is slow; a few randomized campuses per run is
-    // plenty — every case exercises six full deployments.
+    // plenty — every case exercises four full deployments.
     #![proptest_config(ProptestConfig::with_cases(3))]
 
     /// Fused windows and masked reports are byte-identical with
@@ -92,11 +88,11 @@ proptest! {
 
         for (decode, depth) in [(1usize, 1usize), (4, 4)] {
             let (off_fused, off_report) = run_config(
-                n_clients, seed, &windows, ScanBackend::Exhaustive, (decode, depth),
+                n_clients, seed, &windows, (decode, depth),
                 TelemetryConfig::disabled(),
             );
             let (on_fused, on_report) = run_config(
-                n_clients, seed, &windows, ScanBackend::Exhaustive, (decode, depth),
+                n_clients, seed, &windows, (decode, depth),
                 TelemetryConfig::full(),
             );
             prop_assert_eq!(
@@ -108,29 +104,6 @@ proptest! {
                 &off_report, &on_report,
                 "masked report diverged with telemetry at decode={} depth={}",
                 decode, depth
-            );
-        }
-
-        // Scan-backend knob: telemetry must stay a read-only tap no
-        // matter which spectrum-search backend the APs run.
-        for backend in [ScanBackend::coarse_to_fine(), ScanBackend::RootMusic] {
-            let (off_fused, off_report) = run_config(
-                n_clients, seed, &windows, backend, (4, 4),
-                TelemetryConfig::disabled(),
-            );
-            let (on_fused, on_report) = run_config(
-                n_clients, seed, &windows, backend, (4, 4),
-                TelemetryConfig::full(),
-            );
-            prop_assert_eq!(
-                &off_fused, &on_fused,
-                "fused windows diverged with telemetry for {:?}",
-                backend
-            );
-            prop_assert_eq!(
-                &off_report, &on_report,
-                "masked report diverged with telemetry for {:?}",
-                backend
             );
         }
     }
