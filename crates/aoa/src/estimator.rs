@@ -28,8 +28,6 @@
 //! assert!(angle_diff_deg(est.bearing_deg(), 50.0, true) < 3.0);
 //! ```
 
-use crate::beamform::{bartlett_spectrum, capon_spectrum};
-use crate::confidence::ConfidenceModel;
 use crate::manifold::{ScanSpace, SteeringTable};
 use crate::music::music_spectrum_from_table;
 use crate::pseudospectrum::Pseudospectrum;
@@ -39,19 +37,6 @@ use sa_linalg::complex::C64;
 use sa_linalg::eigen::{EigH, EighWorkspace};
 use sa_linalg::CMat;
 use sa_sigproc::covariance::{forward_backward_into, sample_covariance, smooth_fb_into};
-use sa_sigproc::snr::eig_split_snr;
-
-/// Spectrum estimation algorithm.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Method {
-    /// MUSIC (the paper's choice).
-    #[default]
-    Music,
-    /// Bartlett delay-and-sum (baseline).
-    Bartlett,
-    /// Capon / MVDR (baseline).
-    Capon,
-}
 
 /// Decorrelation preprocessing applied to the covariance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,13 +67,12 @@ pub enum CircularHandling {
     Physical,
 }
 
-/// Estimator configuration. `Default` reproduces the paper's pipeline:
-/// MUSIC, MDL source counting, FB + spatial smoothing, 1° grid.
+/// Estimator configuration. The spectrum is always MUSIC; `Default`
+/// reproduces the paper's pipeline: MDL source counting, FB + spatial
+/// smoothing, 1° grid.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AoaConfig {
-    /// Spectrum algorithm.
-    pub method: Method,
-    /// Signal-subspace dimension policy (MUSIC only).
+    /// Signal-subspace dimension policy.
     pub source_count: SourceCount,
     /// Decorrelation preprocessing.
     pub smoothing: Smoothing,
@@ -96,25 +80,15 @@ pub struct AoaConfig {
     pub circular: CircularHandling,
     /// Scan-grid resolution, degrees.
     pub grid_step_deg: f64,
-    /// Capon diagonal loading (fraction of mean eigenvalue).
-    pub capon_loading: f64,
-    /// Which confidence the estimate carries (see
-    /// [`ConfidenceModel`]); the default leaves confidence computation
-    /// to the downstream peak-power split, unchanged from the
-    /// historical pipeline.
-    pub confidence: ConfidenceModel,
 }
 
 impl Default for AoaConfig {
     fn default() -> Self {
         Self {
-            method: Method::Music,
             source_count: SourceCount::Mdl,
             smoothing: Smoothing::FbSpatial { sub_len: 0 }, // 0 = auto
             circular: CircularHandling::ModeSpace,
             grid_step_deg: 1.0,
-            capon_loading: 1e-6,
-            confidence: ConfidenceModel::PeakPower,
         }
     }
 }
@@ -143,20 +117,6 @@ pub struct AoaEstimate {
     pub eigenvalues: Vec<f64>,
     /// MUSIC peaks ranked by descending Bartlett power.
     pub ranked_peaks: Vec<RankedPeak>,
-    /// Linear *subspace* SNR from the eigenvalue split (`0.0` when the
-    /// split is degenerate). Divide by the analysis dimension
-    /// (`eigenvalues.len()`) for the per-element SNR.
-    pub snr: f64,
-    /// Single-source CRLB bearing standard deviation (degrees) at this
-    /// packet's SNR — `f64::INFINITY` when the SNR estimate is
-    /// degenerate. Always computed (it is a handful of flops on numbers
-    /// MUSIC already produced).
-    pub crlb_sigma_deg: f64,
-    /// CRLB-weighted confidence in `[0, 1]`, present iff the engine was
-    /// configured with [`ConfidenceModel::Crlb`]. `None` keeps the
-    /// downstream peak-power confidence path byte-identical to the
-    /// historical pipeline.
-    pub crlb_confidence: Option<f64>,
 }
 
 impl AoaEstimate {
@@ -252,10 +212,8 @@ pub struct AoaEngine {
     /// For circular arrays under [`CircularHandling::ModeSpace`] it also
     /// carries the Davies transform ([`ScanSpace::modespace`]).
     space: ScanSpace,
-    /// Precomputed steering vectors over `space`'s grid. Only MUSIC
-    /// consumes the table (Bartlett/Capon scan `space` directly), so it
-    /// is only built for [`Method::Music`].
-    table: Option<SteeringTable>,
+    /// Precomputed steering vectors over `space`'s grid.
+    table: SteeringTable,
     /// Resolved decorrelation plan.
     plan: SmoothingPlan,
     /// Reusable eigensolver buffers.
@@ -306,10 +264,8 @@ impl AoaEngine {
             _ => base_space,
         };
 
-        // 3. The manifold, evaluated once (MUSIC's hot path; the
-        //    Bartlett/Capon baselines never read it).
-        let table =
-            matches!(cfg.method, Method::Music).then(|| space.steering_table(cfg.grid_step_deg));
+        // 3. The manifold, evaluated once (MUSIC's hot path).
+        let table = space.steering_table(cfg.grid_step_deg);
 
         Self {
             cfg: *cfg,
@@ -407,60 +363,16 @@ impl AoaEngine {
 
         // 4. Spectrum.
         let k_music = n_sources.min(m.saturating_sub(1)).max(1);
-        let spectrum = match self.cfg.method {
-            Method::Music => {
-                let table = self.table.as_ref().expect("table built for Music in new()");
-                music_spectrum_from_table(&self.eig, table, k_music)
-            }
-            Method::Bartlett => bartlett_spectrum(ra, &self.space, self.cfg.grid_step_deg),
-            Method::Capon => capon_spectrum(
-                ra,
-                &self.space,
-                self.cfg.grid_step_deg,
-                self.cfg.capon_loading,
-            ),
-        };
+        let spectrum = music_spectrum_from_table(&self.eig, &self.table, k_music);
 
         // 5. Candidate peaks ranked by received power toward them.
-        let ranked_peaks = rank_peaks(&spectrum, ra, &self.space, self.table.as_ref());
-
-        // 6. Per-packet SNR and the CRLB it implies. The eigenvalue
-        //    split reports the *subspace* SNR over the m-dimensional
-        //    analysis domain; dividing by m recovers the per-element
-        //    SNR the CRLB is stated in. The bound uses the full
-        //    physical aperture (never above the subarray's bound, so
-        //    RMSE/CRLB stays ≥ 1 — pinned by `tests/crlb_accuracy.rs`).
-        //    The bound lives in the electrical-angle domain; a physical
-        //    ULA additionally needs the kd·cosθ Jacobian, linearised at
-        //    the bearing estimate.
-        let snr = eig_split_snr(&self.eig.values, k_music.min(m.saturating_sub(1)));
-        let sigma_omega =
-            crate::confidence::crlb_sigma_deg(snr / (m.max(1) as f64), n_snapshots, self.array_len);
-        let sigma = match &self.space {
-            ScanSpace::Ula { array, used } if *used >= 2 => {
-                let e = array.elements();
-                let kd = std::f64::consts::TAU * (e[1].0 - e[0].0) / array.wavelength();
-                let bearing = ranked_peaks
-                    .first()
-                    .map(|p| p.angle_deg)
-                    .unwrap_or_else(|| spectrum.peak().0);
-                crate::confidence::ula_bearing_sigma_deg(sigma_omega, kd, bearing)
-            }
-            _ => sigma_omega,
-        };
-        let crlb_confidence = match self.cfg.confidence {
-            ConfidenceModel::PeakPower => None,
-            ConfidenceModel::Crlb => Some(crate::confidence::crlb_confidence(sigma)),
-        };
+        let ranked_peaks = rank_peaks(&spectrum, ra, &self.table);
 
         AoaEstimate {
             spectrum,
             n_sources,
             eigenvalues: self.eig.values.clone(),
             ranked_peaks,
-            snr,
-            crlb_sigma_deg: sigma,
-            crlb_confidence,
         }
     }
 }
@@ -468,39 +380,23 @@ impl AoaEngine {
 /// Extract the spectrum's peaks and rank them by Bartlett power on the
 /// analysis covariance (descending).
 ///
-/// Peaks live on the scan grid, so when the caller has a
-/// [`SteeringTable`] (MUSIC), each peak's steering vector is looked up
-/// there and the quadratic form `a^H·R·a` is evaluated in place —
-/// nothing is rebuilt or allocated per peak. Bartlett/Capon (no table)
-/// rebuild the steering vector from the manifold as before.
-fn rank_peaks(
-    spectrum: &Pseudospectrum,
-    ra: &CMat,
-    space: &ScanSpace,
-    table: Option<&SteeringTable>,
-) -> Vec<super::estimator::RankedPeak> {
-    use sa_linalg::matrix::vnorm;
-    let peaks = spectrum.find_peaks(1.0, 8);
-    let mut ranked: Vec<RankedPeak> = peaks
+/// The spectrum was scanned on `table`'s grid, so every peak angle is a
+/// grid angle: its steering vector is looked up in the table and the
+/// quadratic form `a^H·R·a` is evaluated in place — nothing is rebuilt
+/// or allocated per peak.
+fn rank_peaks(spectrum: &Pseudospectrum, ra: &CMat, table: &SteeringTable) -> Vec<RankedPeak> {
+    let mut ranked: Vec<RankedPeak> = spectrum
+        .find_peaks(1.0, 8)
         .iter()
         .map(|p| {
-            let grid_idx = table.and_then(|t| {
-                t.angles_deg()
-                    .binary_search_by(|v| v.total_cmp(&p.angle_deg))
-                    .ok()
-            });
-            let power = match (table, grid_idx) {
-                (Some(t), Some(i)) => bartlett_power(ra, t.steering(i), t.norm_sqr(i)),
-                _ => {
-                    let az = space.azimuth_of_present(p.angle_deg);
-                    let a = space.steering(az);
-                    bartlett_power(ra, &a, vnorm(&a).powi(2))
-                }
-            };
+            let i = table
+                .angles_deg()
+                .binary_search_by(|v| v.total_cmp(&p.angle_deg))
+                .expect("spectrum peaks lie on the steering-table grid");
             RankedPeak {
                 angle_deg: p.angle_deg,
                 music_value: p.value,
-                power,
+                power: bartlett_power(ra, table.steering(i), table.norm_sqr(i)),
             }
         })
         .collect();
@@ -650,27 +546,6 @@ mod tests {
             "raw MUSIC should not resolve coherent pair: {:?}",
             peaks
         );
-    }
-
-    #[test]
-    fn bartlett_and_capon_methods_run() {
-        let array = Array::paper_linear(8);
-        let az = broadside_deg_to_azimuth(-10.0);
-        let x = coherent_snapshots(&array, &[(az, C64::new(1.0, 0.0))], 128, 0.01, 4);
-        for method in [Method::Bartlett, Method::Capon] {
-            let cfg = AoaConfig {
-                method,
-                smoothing: Smoothing::None,
-                ..Default::default()
-            };
-            let est = estimate(&x, &array, &cfg);
-            assert!(
-                (est.bearing_deg() + 10.0).abs() < 3.0,
-                "{:?} bearing {}",
-                method,
-                est.bearing_deg()
-            );
-        }
     }
 
     #[test]
@@ -873,40 +748,8 @@ mod tests {
             n_sources: 1,
             eigenvalues: vec![1.0; 5],
             ranked_peaks: Vec::new(),
-            snr: 0.0,
-            crlb_sigma_deg: f64::INFINITY,
-            crlb_confidence: None,
         };
         let b = est.bearing_deg();
         assert!((0.0..360.0).contains(&b));
-    }
-
-    #[test]
-    fn crlb_confidence_threads_only_when_configured() {
-        let array = Array::paper_octagon();
-        let x = coherent_snapshots(&array, &[(0.9, C64::new(1.0, 0.0))], 128, 0.01, 13);
-        let r = sample_covariance(&x);
-        let default_est = AoaEngine::new(&array, &AoaConfig::default()).estimate_cov(&r, x.cols());
-        assert_eq!(default_est.crlb_confidence, None);
-        assert!(default_est.snr > 0.0);
-        assert!(default_est.crlb_sigma_deg.is_finite() && default_est.crlb_sigma_deg > 0.0);
-
-        let crlb_cfg = AoaConfig {
-            confidence: ConfidenceModel::Crlb,
-            ..AoaConfig::default()
-        };
-        let est = AoaEngine::new(&array, &crlb_cfg).estimate_cov(&r, x.cols());
-        let c = est.crlb_confidence.expect("Crlb model sets confidence");
-        assert!((0.0..=1.0).contains(&c) && c > 0.0);
-        // Everything except the confidence annotation is unchanged.
-        assert_eq!(est.spectrum, default_est.spectrum);
-        assert_eq!(est.ranked_peaks, default_est.ranked_peaks);
-        assert_eq!(est.snr, default_est.snr);
-
-        // A noisier packet earns a lower confidence.
-        let xn = coherent_snapshots(&array, &[(0.9, C64::new(1.0, 0.0))], 128, 2.0, 13);
-        let rn = sample_covariance(&xn);
-        let noisy = AoaEngine::new(&array, &crlb_cfg).estimate_cov(&rn, xn.cols());
-        assert!(noisy.crlb_confidence.unwrap() < c);
     }
 }

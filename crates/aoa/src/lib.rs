@@ -9,20 +9,15 @@
 //! * [`manifold`] — scan spaces (physical ULA / physical circle / Davies
 //!   virtual ULA) with the paper's presentation conventions;
 //! * [`music`] — MUSIC (Schmidt), the estimator the paper uses;
-//! * [`beamform`] — Bartlett and Capon baselines;
 //! * [`two_antenna`] — the paper's Equation 1 (and its multipath
 //!   breakdown);
 //! * [`source_count`] — AIC/MDL signal-subspace dimension estimation;
-//! * [`confidence`] — CRLB-weighted per-bearing confidence from the
-//!   eigenvalue-split SNR;
 //! * [`estimator`] — the configured end-to-end pipeline shared by the AP
 //!   implementation and all experiments.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod beamform;
-pub mod confidence;
 pub mod estimator;
 pub mod manifold;
 pub mod music;
@@ -30,9 +25,8 @@ pub mod pseudospectrum;
 pub mod source_count;
 pub mod two_antenna;
 
-pub use confidence::{crlb_confidence, crlb_sigma_deg, ula_bearing_sigma_deg, ConfidenceModel};
 pub use estimator::{
-    estimate, estimate_from_covariance, AoaConfig, AoaEngine, AoaEstimate, Method, Smoothing,
+    estimate, estimate_from_covariance, AoaConfig, AoaEngine, AoaEstimate, Smoothing,
 };
 pub use manifold::{ScanSpace, SteeringTable};
 pub use music::music_spectrum;

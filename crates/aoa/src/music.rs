@@ -17,7 +17,6 @@ use crate::manifold::{ScanSpace, SteeringTable};
 use crate::pseudospectrum::Pseudospectrum;
 use sa_linalg::complex::ZERO;
 use sa_linalg::eigen::EigH;
-use sa_linalg::matrix::vdot_col;
 use sa_linalg::CMat;
 
 /// Compute the MUSIC pseudospectrum from a covariance already in the
@@ -53,6 +52,23 @@ pub fn music_spectrum_from_eig(
 /// (grid, steering vectors, norms) across every packet that shares an
 /// array and scan configuration; only the noise-subspace projections
 /// remain per-packet work.
+///
+/// The denominator is the projection of a(θ) onto the noise subspace
+/// (eigenvectors of the M − K smallest eigenvalues; ascending order ⇒
+/// the first M − K columns). Two equivalent forms:
+///
+/// ```text
+/// ‖E_n^H a‖²              — project onto the M − K noise vectors;
+/// ‖a‖² − ‖E_s^H a‖²       — complement of the K signal vectors
+///                           (E is unitary, so the norms split).
+/// ```
+///
+/// The scan uses whichever subspace is *smaller*: the grid loop is the
+/// only O(grid) work left per packet and its cost is proportional to
+/// the vector count. The complement's subtraction is safe at the
+/// dynamic ranges the floor already imposes (round-off is ~1e−16 of
+/// ‖a‖², twelve orders below the 1e−30 relative floor's ceiling on
+/// needle heights at simulation SNRs).
 pub fn music_spectrum_from_table(
     eig: &EigH,
     table: &SteeringTable,
@@ -72,96 +88,33 @@ pub fn music_spectrum_from_table(
         n_sources,
         m
     );
-    let proj = NoiseProjector::new(eig, n_sources);
+    let n_noise = m - n_sources;
+    let complement = n_sources < n_noise;
+    let (first_col, n_proj) = if complement {
+        (n_noise, n_sources)
+    } else {
+        (0, n_noise)
+    };
+    // The subspace columns are strided in the row-major eigenvector
+    // matrix; stage them once, contiguously, so the scan runs on linear
+    // memory.
+    let mut basis = Vec::with_capacity(n_proj * m);
+    for k in 0..n_proj {
+        basis.extend(eig.vectors.col_view(first_col + k).iter());
+    }
     let mut values = Vec::with_capacity(table.len());
     for i in 0..table.len() {
-        values.push(proj.value(table.steering(i), table.norm_sqr(i)));
-    }
-    Pseudospectrum::from_valid_grid(table.angles_deg().to_vec(), values, table.wraps())
-}
-
-/// The per-grid-point kernel of [`music_spectrum_from_table`], staged
-/// once per packet: maps a steering vector (plus its squared norm) to
-/// the MUSIC pseudospectrum value.
-pub(crate) struct NoiseProjector<'a> {
-    eig: &'a EigH,
-    m: usize,
-    /// Projecting onto the *signal* subspace and taking the complement
-    /// (smaller of the two subspaces wins — see `new`).
-    complement: bool,
-    first_col: usize,
-    n_proj: usize,
-    /// Contiguous staging of the projection subspace columns.
-    buf: [sa_linalg::C64; 16 * 16],
-    staged: bool,
-}
-
-impl<'a> NoiseProjector<'a> {
-    /// Stage the projection subspace for an eigendecomposition and a
-    /// signal-subspace dimension `n_sources ∈ 1..m`.
-    ///
-    /// The denominator is the projection of a(θ) onto the noise subspace
-    /// (eigenvectors of the M − K smallest eigenvalues; ascending order ⇒
-    /// the first M − K columns). Two equivalent forms:
-    ///
-    ///   ‖E_n^H a‖²              — project onto the M − K noise vectors;
-    ///   ‖a‖² − ‖E_s^H a‖²       — complement of the K signal vectors
-    ///                             (E is unitary, so the norms split).
-    ///
-    /// Pick whichever subspace is *smaller*: the scan loop is the only
-    /// O(grid) work left per packet and its cost is proportional to the
-    /// vector count. The complement's subtraction is safe at the dynamic
-    /// ranges the floor already imposes (round-off is ~1e−16 of ‖a‖²,
-    /// twelve orders below the 1e−30 relative floor's ceiling on needle
-    /// heights at simulation SNRs).
-    ///
-    /// Either way the subspace columns are strided in the row-major
-    /// eigenvector matrix; stage them once into a contiguous stack
-    /// buffer (M ≤ 16 ⇒ at most 16×15 entries) so the scan runs on
-    /// linear memory with no per-column clones.
-    pub(crate) fn new(eig: &'a EigH, n_sources: usize) -> Self {
-        let m = eig.values.len();
-        let n_noise = m - n_sources;
-        let complement = n_sources < n_noise;
-        let (first_col, n_proj) = if complement {
-            (n_noise, n_sources)
-        } else {
-            (0, n_noise)
-        };
-        let mut buf = [ZERO; 16 * 16];
-        let staged = n_proj * m <= buf.len();
-        if staged {
-            for k in 0..n_proj {
-                for (i, z) in eig.vectors.col_view(first_col + k).iter().enumerate() {
-                    buf[k * m + i] = z;
-                }
-            }
-        }
-        Self {
-            eig,
-            m,
-            complement,
-            first_col,
-            n_proj,
-            buf,
-            staged,
-        }
-    }
-
-    /// MUSIC pseudospectrum value for steering vector `a` with squared
-    /// norm `num` (`‖a‖²`, usually precomputed in a [`SteeringTable`]).
-    pub(crate) fn value(&self, a: &[sa_linalg::C64], num: f64) -> f64 {
-        let m = self.m;
+        let a = &table.steering(i)[..m];
+        let num = table.norm_sqr(i);
         let mut proj = 0.0;
-        if self.staged && self.n_proj == 2 {
+        if n_proj == 2 {
             // The common case (2-dimensional projection subspace, e.g.
             // MDL's K=2 against a 5-element smoothed aperture): one
             // fused pass over the steering vector computes both
             // projections — this is the innermost per-packet loop in
             // the whole pipeline. `0.0 + x == x` exactly, so the fused
             // accumulation matches the generic loop bit for bit.
-            let (e0, e1) = self.buf[..2 * m].split_at(m);
-            let a = &a[..m];
+            let (e0, e1) = basis.split_at(m);
             let mut acc0 = ZERO;
             let mut acc1 = ZERO;
             for j in 0..m {
@@ -170,9 +123,8 @@ impl<'a> NoiseProjector<'a> {
                 acc1 += e1[j].conj() * aj;
             }
             proj = acc0.norm_sqr() + acc1.norm_sqr();
-        } else if self.staged {
-            let a = &a[..m];
-            for e in self.buf[..self.n_proj * m].chunks_exact(m) {
+        } else {
+            for e in basis.chunks_exact(m) {
                 // Manual vdot: the explicit index form lets the bounds
                 // checks hoist out of the loop.
                 let mut acc = ZERO;
@@ -181,22 +133,15 @@ impl<'a> NoiseProjector<'a> {
                 }
                 proj += acc.norm_sqr();
             }
-        } else {
-            // Covariances beyond 16×16 cannot occur through the
-            // estimator (the antenna count caps M); fall back to
-            // strided reads if a caller hands one in anyway.
-            for k in 0..self.n_proj {
-                proj += vdot_col(self.eig.vectors.col_view(self.first_col + k), a).norm_sqr();
-            }
         }
-        let denom = if self.complement { num - proj } else { proj };
+        let denom = if complement { num - proj } else { proj };
         // A perfectly orthogonal steering vector would give 0 (and the
         // complement's subtraction can round below it); floor to keep
         // the spectrum finite (the cap is ~300 dB, far above any
         // physical dynamic range).
-        let denom = denom.max(num * 1e-30);
-        num / denom
+        values.push(num / denom.max(num * 1e-30));
     }
+    Pseudospectrum::from_valid_grid(table.angles_deg().to_vec(), values, table.wraps())
 }
 
 #[cfg(test)]

@@ -1,12 +1,11 @@
-//! Microbenches for the AoA estimators: MUSIC vs the Bartlett/Capon
-//! baselines, the mode-space transform, source counting and peak
+//! Microbenches for the MUSIC estimator: smoothing variants, the
+//! mode-space transform, engine reuse, source counting and peak
 //! extraction — the ablation dimensions of experiment E8 measured in
 //! time rather than accuracy.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use sa_aoa::estimator::{estimate_from_covariance, AoaConfig, AoaEngine, Method, Smoothing};
+use sa_aoa::estimator::{estimate_from_covariance, AoaConfig, AoaEngine, Smoothing};
 use sa_aoa::source_count::SourceCount;
-use sa_aoa::ConfidenceModel;
 use sa_array::geometry::Array;
 use sa_array::modespace::ModeSpace;
 use sa_linalg::complex::C64;
@@ -21,26 +20,6 @@ fn two_path_cov(array: &Array) -> CMat {
         s1[m] * sym + s2[m] * C64::from_polar(0.6, 1.0) * sym
     });
     sample_covariance(&x)
-}
-
-fn bench_methods(c: &mut Criterion) {
-    let array = Array::paper_octagon();
-    let r = two_path_cov(&array);
-    let mut group = c.benchmark_group("aoa_methods_octagon_1deg");
-    for (label, method) in [
-        ("music", Method::Music),
-        ("bartlett", Method::Bartlett),
-        ("capon", Method::Capon),
-    ] {
-        let cfg = AoaConfig {
-            method,
-            ..Default::default()
-        };
-        group.bench_function(label, |b| {
-            b.iter(|| estimate_from_covariance(&r, 512, &array, &cfg))
-        });
-    }
-    group.finish();
 }
 
 fn bench_smoothing_variants(c: &mut Criterion) {
@@ -91,27 +70,6 @@ fn bench_engine_reuse(c: &mut Criterion) {
     group.finish();
 }
 
-/// Cost of the CRLB confidence model relative to the historical
-/// peak-power path (the sigma is computed either way; `crlb` only adds
-/// the `1/(1+σ)` map, so the two should be indistinguishable).
-fn bench_confidence_models(c: &mut Criterion) {
-    let array = Array::paper_octagon();
-    let r = two_path_cov(&array);
-    let mut group = c.benchmark_group("aoa_confidence");
-    for (label, confidence) in [
-        ("peak_power", ConfidenceModel::PeakPower),
-        ("crlb", ConfidenceModel::Crlb),
-    ] {
-        let cfg = AoaConfig {
-            confidence,
-            ..Default::default()
-        };
-        let mut engine = AoaEngine::new(&array, &cfg);
-        group.bench_function(label, |b| b.iter(|| engine.estimate_cov(&r, 512)));
-    }
-    group.finish();
-}
-
 fn bench_source_count(c: &mut Criterion) {
     let eigs: Vec<f64> = vec![0.9, 1.0, 1.1, 1.05, 0.95, 40.0, 80.0, 120.0];
     let mut group = c.benchmark_group("source_count");
@@ -132,11 +90,9 @@ fn bench_peak_extraction(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_methods,
     bench_smoothing_variants,
     bench_modespace_transform,
     bench_engine_reuse,
-    bench_confidence_models,
     bench_source_count,
     bench_peak_extraction
 );

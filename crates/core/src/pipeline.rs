@@ -229,20 +229,11 @@ pub struct Observation {
 }
 
 impl Observation {
-    /// How unambiguous the direct-path bearing is, `[0, 1]`.
-    ///
-    /// When the AP's estimator is configured with the CRLB confidence
-    /// model (`sa_aoa::ConfidenceModel::Crlb`), this is the
-    /// CRLB-weighted confidence the estimate already carries — the
-    /// per-packet SNR mapped through the stochastic-MUSIC bound. With
-    /// the default model it is the historical peak-power split: the
+    /// How unambiguous the direct-path bearing is, `[0, 1]`: the
     /// fraction of ranked-peak Bartlett power carried by the top-ranked
     /// peak. A clean line-of-sight packet concentrates power in one
     /// peak (→ 1.0); heavy multipath spreads it (→ small).
     pub fn confidence(&self) -> f64 {
-        if let Some(c) = self.estimate.crlb_confidence {
-            return c;
-        }
         let total: f64 = self.estimate.ranked_peaks.iter().map(|p| p.power).sum();
         match self.estimate.ranked_peaks.first() {
             Some(top) if total > 0.0 => top.power / total,

@@ -15,7 +15,6 @@
 
 use crate::localize::Fix;
 use crate::signature::{AoaSignature, MatchConfig, SignatureTracker};
-use crate::store::ShardedSignatureStore;
 use sa_channel::geom::Point;
 use sa_mac::MacAddr;
 use std::collections::HashMap;
@@ -75,32 +74,22 @@ impl Default for SpoofConfig {
     }
 }
 
-/// Per-AP spoofing detector: MAC → tracked signature.
-///
-/// Client state lives in a [`ShardedSignatureStore`] — a fixed-shard
-/// hash map over MAC addresses — so lookups and training scale with
-/// client count instead of funnelling through one flat map.
+/// Per-AP spoofing detector: MAC → tracked signature, plus a flag count
+/// per MAC.
 #[derive(Debug)]
 pub struct SpoofDetector {
     cfg: SpoofConfig,
-    store: ShardedSignatureStore,
+    profiles: HashMap<MacAddr, SignatureTracker>,
+    flags: HashMap<MacAddr, usize>,
 }
 
 impl SpoofDetector {
-    /// New detector with the default shard count
-    /// ([`crate::store::DEFAULT_SHARDS`]).
+    /// New detector with no trained clients.
     pub fn new(cfg: SpoofConfig) -> Self {
         Self {
             cfg,
-            store: ShardedSignatureStore::default(),
-        }
-    }
-
-    /// New detector with an explicit signature-store shard count.
-    pub fn with_shards(cfg: SpoofConfig, shards: usize) -> Self {
-        Self {
-            cfg,
-            store: ShardedSignatureStore::new(shards),
+            profiles: HashMap::new(),
+            flags: HashMap::new(),
         }
     }
 
@@ -109,68 +98,53 @@ impl SpoofDetector {
         &self.cfg
     }
 
-    /// The sharded per-client store (occupancy diagnostics, iteration).
-    pub fn store(&self) -> &ShardedSignatureStore {
-        &self.store
-    }
-
     /// Train (or retrain) the profile for a MAC from a signature captured
     /// during authentication — the paper's "initial training stage".
+    /// Clears the MAC's flags.
     pub fn train(&mut self, mac: MacAddr, signature: AoaSignature) {
-        self.train_shared(mac, signature);
-    }
-
-    /// [`SpoofDetector::train`] through a shared reference: the store's
-    /// shards carry their own locks, so concurrent enforcement threads
-    /// can train disjoint (or even colliding) MACs without a detector-
-    /// wide writer lock.
-    pub fn train_shared(&self, mac: MacAddr, signature: AoaSignature) {
-        self.store
+        self.profiles
             .insert(mac, SignatureTracker::new(signature, self.cfg.track_alpha));
+        self.flags.remove(&mac);
     }
 
     /// True if a profile exists for the MAC.
     pub fn is_trained(&self, mac: &MacAddr) -> bool {
-        self.store.contains(mac)
+        self.profiles.contains_key(mac)
     }
 
-    /// A snapshot of the tracked signature for a MAC, if trained.
-    /// Returned by value: the tracker lives behind its shard's lock,
-    /// which is released before this returns.
-    pub fn profile(&self, mac: &MacAddr) -> Option<AoaSignature> {
-        self.store.signature(mac)
+    /// The tracked signature for a MAC, if trained.
+    pub fn profile(&self, mac: &MacAddr) -> Option<&AoaSignature> {
+        self.profiles.get(mac).map(SignatureTracker::signature)
     }
 
     /// Number of trained clients.
     pub fn trained_count(&self) -> usize {
-        self.store.len()
+        self.profiles.len()
     }
 
     /// Number of frames flagged for a MAC so far.
     pub fn flag_count(&self, mac: &MacAddr) -> usize {
-        self.store.flag_count(mac)
+        self.flags.get(mac).copied().unwrap_or(0)
     }
 
     /// Check one observed frame's signature against the profile for its
-    /// claimed source MAC, updating the tracker on a match.
+    /// claimed source MAC. The score is computed against the profile as
+    /// it stands; at or above the threshold the frame is then folded
+    /// into the tracker, below it the MAC's flag count goes up.
     pub fn check(&mut self, mac: MacAddr, observed: &AoaSignature) -> SpoofVerdict {
-        self.check_shared(mac, observed)
-    }
-
-    /// [`SpoofDetector::check`] through a shared reference. The
-    /// compare-and-update (or compare-and-flag) runs atomically under
-    /// the MAC's shard lock
-    /// ([`ShardedSignatureStore::check_and_track`]), so concurrent
-    /// checkers of the same MAC serialise per shard and no flag or
-    /// tracker update is lost.
-    pub fn check_shared(&self, mac: MacAddr, observed: &AoaSignature) -> SpoofVerdict {
-        match self
-            .store
-            .check_and_track(mac, observed, &self.cfg.match_config, self.cfg.threshold)
-        {
-            None => SpoofVerdict::Untrained,
-            Some((score, true)) => SpoofVerdict::Match { score },
-            Some((score, false)) => SpoofVerdict::Spoof { score },
+        let Some(tracker) = self.profiles.get_mut(&mac) else {
+            return SpoofVerdict::Untrained;
+        };
+        let score = tracker
+            .signature()
+            .compare(observed, &self.cfg.match_config)
+            .score;
+        if score >= self.cfg.threshold {
+            tracker.update(observed);
+            SpoofVerdict::Match { score }
+        } else {
+            *self.flags.entry(mac).or_insert(0) += 1;
+            SpoofVerdict::Spoof { score }
         }
     }
 }

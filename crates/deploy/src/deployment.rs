@@ -1129,23 +1129,12 @@ impl Deployment {
                     if let Some(p) = &prior {
                         stats.absorb(p);
                     }
-                    // Store-occupancy gauges, tapped now that the AP's
-                    // trained signature store is back in hand.
+                    // Trained-client gauge, tapped now that the AP's
+                    // spoof detector is back in hand.
                     if let Some(t) = &telemetry {
-                        let occ = ap.spoof.store().occupancy_summary();
-                        let label = ap_id.to_string();
                         t.registry
-                            .gauge("store.occupancy", &[("ap", &label)])
-                            .set(occ.total as i64);
-                        t.registry
-                            .gauge("store.max_shard_occupancy", &[("ap", &label)])
-                            .set(occ.max as i64);
-                        // Shard imbalance is a ratio; gauges are
-                        // integers, so export it in milli-units
-                        // (1000 = perfectly balanced).
-                        t.registry
-                            .gauge("store.shard_imbalance_milli", &[("ap", &label)])
-                            .set_milli(occ.imbalance());
+                            .gauge("store.occupancy", &[("ap", &ap_id.to_string())])
+                            .set(ap.spoof.trained_count() as i64);
                     }
                     aps.push(ap);
                     stats

@@ -3,7 +3,8 @@
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use sa_deploy::{DeployConfig, DeployError, Deployment, LinkConfig, Transmission};
+use sa_deploy::{DeployConfig, DeployError, Deployment, LinkConfig, TelemetryConfig, Transmission};
+use sa_mac::{AccessControlList, AclPolicy};
 use sa_testbed::Testbed;
 use secureangle::AccessPoint;
 
@@ -400,4 +401,54 @@ fn streamed_windows_are_byte_identical_to_sequential() {
         let mut deployment = Deployment::new(aps, base_cfg.clone());
         assert_eq!(deployment.run_stream(windows).expect("stream"), seq);
     }
+}
+
+/// Eight AP worker threads auto-train disjoint MAC subsets (disjoint
+/// per-AP ACLs): every AP comes back with exactly the clients its
+/// worker trained, in its detector, its report row and its
+/// `store.occupancy` gauge.
+#[test]
+fn deployment_workers_train_disjoint_stores() {
+    const N_APS: usize = 8;
+    let tb = Testbed::deployment(N_APS, 401);
+    let mut rng = ChaCha8Rng::seed_from_u64(402);
+    let clients: Vec<usize> = (1..=20).collect();
+    let txs = window(&tb, &clients, 0, &mut rng);
+
+    // AP k admits only clients with id % N_APS == k: disjoint
+    // populations across the eight worker threads.
+    let (_, mut aps) = split(tb);
+    for (k, ap) in aps.iter_mut().enumerate() {
+        let mut acl = AccessControlList::new(AclPolicy::AllowListed);
+        for &id in clients.iter().filter(|&&id| id % N_APS == k) {
+            acl.add(Testbed::client_mac(id));
+        }
+        ap.acl = acl;
+    }
+    let expected: Vec<usize> = (0..N_APS)
+        .map(|k| clients.iter().filter(|&&id| id % N_APS == k).count())
+        .collect();
+
+    let cfg = DeployConfig {
+        telemetry: TelemetryConfig::full(),
+        ..DeployConfig::default()
+    };
+    let mut deployment = Deployment::new(aps, cfg);
+    deployment.submit_window(txs).expect("submit");
+    let fused = deployment.collect_window().expect("collect");
+    assert_eq!(fused.clients.len(), clients.len());
+
+    let (report, aps) = deployment.finish();
+    for (k, ap) in aps.iter().enumerate() {
+        assert_eq!(ap.spoof.trained_count(), expected[k], "AP {k}");
+        assert_eq!(report.per_ap[k].trained, expected[k] as u64, "AP {k}");
+        assert_eq!(
+            report
+                .telemetry
+                .gauge_value("store.occupancy", &[("ap", &k.to_string())]),
+            Some(expected[k] as i64),
+            "AP {k}"
+        );
+    }
+    assert_eq!(expected.iter().sum::<usize>(), clients.len());
 }

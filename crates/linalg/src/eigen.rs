@@ -567,27 +567,6 @@ fn ql_implicit_shift(d: &mut [f64], e: &mut [f64], v: &mut CMat) -> bool {
     true
 }
 
-/// Inverse of a Hermitian positive-(semi)definite matrix via its
-/// eigendecomposition, with Tikhonov regularisation: eigenvalues below
-/// `ridge` are clamped to `ridge` before inversion.
-///
-/// Used by the Capon/MVDR beamformer, where the sample covariance from a
-/// short packet can be numerically singular.
-pub fn hermitian_inverse(a: &CMat, ridge: f64) -> CMat {
-    let eig = eigh(a);
-    let n = a.rows();
-    let v = &eig.vectors;
-    // V · diag(1/λ) · V^H
-    let mut out = CMat::zeros(n, n);
-    for k in 0..n {
-        let lam = eig.values[k].max(ridge);
-        let col = v.col(k);
-        let rank1 = CMat::outer(&col, &col).scale(1.0 / lam);
-        out = &out + &rank1;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -750,25 +729,6 @@ mod tests {
             assert_eq!(out.values, free.values, "values differ at n={}", n);
             assert_eq!(out.vectors, free.vectors, "vectors differ at n={}", n);
         }
-    }
-
-    #[test]
-    fn hermitian_inverse_is_inverse() {
-        // Build a well-conditioned PSD matrix: B = A·A^H + I.
-        let a = hermitian_from_seed(4, 5);
-        let b = &a.matmul(&a.hermitian()) + &CMat::identity(4);
-        let binv = hermitian_inverse(&b, 1e-12);
-        let prod = b.matmul(&binv);
-        assert!(prod.approx_eq(&CMat::identity(4), 1e-8));
-    }
-
-    #[test]
-    fn hermitian_inverse_ridge_clamps() {
-        // Singular matrix: rank-1. With ridge, inverse stays finite.
-        let u = vec![c64(1.0, 0.0), c64(0.0, 1.0)];
-        let a = CMat::outer(&u, &u);
-        let inv = hermitian_inverse(&a, 1e-3);
-        assert!(inv.data().iter().all(|z| z.is_finite()));
     }
 
     #[test]

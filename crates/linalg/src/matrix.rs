@@ -478,18 +478,6 @@ pub fn vdot(u: &[C64], v: &[C64]) -> C64 {
     u.iter().zip(v.iter()).map(|(a, b)| a.conj() * *b).sum()
 }
 
-/// [`vdot`] with a borrowed matrix column as the (conjugated) first
-/// argument: `col^H v`, allocation-free. The MUSIC noise-projector
-/// inner loop (`|e_k^H a(θ)|²` per grid point) runs on this.
-pub fn vdot_col(u: ColView<'_>, v: &[C64]) -> C64 {
-    assert_eq!(u.len(), v.len(), "vdot_col: length mismatch");
-    let mut acc = ZERO;
-    for (i, b) in v.iter().enumerate() {
-        acc += u[i].conj() * *b;
-    }
-    acc
-}
-
 /// Euclidean norm of a complex vector.
 pub fn vnorm(v: &[C64]) -> f64 {
     v.iter().map(|z| z.norm_sqr()).sum::<f64>().sqrt()

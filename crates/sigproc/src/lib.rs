@@ -10,10 +10,7 @@
 //!   forward–backward and spatial-smoothing decorrelation transforms that
 //!   make subspace AoA work on coherent multipath;
 //! * [`schmidl_cox`] — OFDM packet detection and CFO estimation exactly as
-//!   the paper's prototype runs it over buffered WARP samples;
-//! * [`snr`] — per-packet SNR from the covariance eigenvalue split (free
-//!   once MUSIC has eigendecomposed the covariance), feeding the
-//!   CRLB-weighted bearing confidence.
+//!   the paper's prototype runs it over buffered WARP samples.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -22,7 +19,6 @@ pub mod covariance;
 pub mod iq;
 pub mod noise;
 pub mod schmidl_cox;
-pub mod snr;
 
 pub use covariance::{forward_backward, sample_covariance, smooth_fb, spatial_smooth};
 pub use schmidl_cox::{Detection, SchmidlCox};

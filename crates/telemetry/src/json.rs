@@ -9,19 +9,53 @@
 //! `multi_ap_fence --metrics-out` validator — never on the hot path.
 
 use serde::{Serialize, Value};
+use std::fmt;
+
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so the cap bounds its stack use; the snapshots this
+/// workspace emits nest only a few levels deep.
+pub const MAX_DEPTH: usize = 128;
+
+/// Why [`parse`] rejected a document.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ParseError {
+    /// Arrays/objects nest deeper than [`MAX_DEPTH`]; the payload is
+    /// the byte offset of the first container past the cap.
+    TooDeep(usize),
+    /// Any other malformed input, described with its byte offset.
+    Syntax(String),
+}
+
+impl fmt::Display for ParseError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ParseError::TooDeep(at) => {
+                write!(f, "nesting deeper than {MAX_DEPTH} at byte {at}")
+            }
+            ParseError::Syntax(msg) => f.write_str(msg),
+        }
+    }
+}
+
+impl From<String> for ParseError {
+    fn from(msg: String) -> Self {
+        ParseError::Syntax(msg)
+    }
+}
 
 /// Parse a JSON document into a [`Value`] tree. Errors carry the byte
 /// offset of the failure.
-pub fn parse(input: &str) -> Result<Value, String> {
+pub fn parse(input: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
-        return Err(format!("trailing data at byte {}", p.pos));
+        return Err(format!("trailing data at byte {}", p.pos).into());
     }
     Ok(v)
 }
@@ -49,6 +83,8 @@ impl Serialize for Raw<'_> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Containers currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -80,20 +116,31 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Value, String> {
+    fn value(&mut self) -> Result<Value, ParseError> {
         match self.peek() {
-            Some(b'n') => self.literal("null", Value::Null),
-            Some(b't') => self.literal("true", Value::Bool(true)),
-            Some(b'f') => self.literal("false", Value::Bool(false)),
-            Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            other => Err(format!("unexpected {:?} at byte {}", other, self.pos)),
+            Some(b'n') => Ok(self.literal("null", Value::Null)?),
+            Some(b't') => Ok(self.literal("true", Value::Bool(true))?),
+            Some(b'f') => Ok(self.literal("false", Value::Bool(false))?),
+            Some(b'"') => Ok(Value::Str(self.string()?)),
+            Some(c @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(ParseError::TooDeep(self.pos));
+                }
+                self.depth += 1;
+                let v = if c == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
+            Some(c) if c == b'-' || c.is_ascii_digit() => Ok(self.number()?),
+            other => Err(format!("unexpected {:?} at byte {}", other, self.pos).into()),
         }
     }
 
-    fn array(&mut self) -> Result<Value, String> {
+    fn array(&mut self) -> Result<Value, ParseError> {
         self.expect(b'[')?;
         self.skip_ws();
         let mut items = Vec::new();
@@ -113,12 +160,12 @@ impl Parser<'_> {
                     self.pos += 1;
                     return Ok(Value::Array(items));
                 }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
+                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos).into()),
             }
         }
     }
 
-    fn object(&mut self) -> Result<Value, String> {
+    fn object(&mut self) -> Result<Value, ParseError> {
         self.expect(b'{')?;
         self.skip_ws();
         let mut entries = Vec::new();
@@ -142,7 +189,7 @@ impl Parser<'_> {
                     self.pos += 1;
                     return Ok(Value::Object(entries));
                 }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
+                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos).into()),
             }
         }
     }
@@ -292,6 +339,17 @@ mod tests {
         assert!(parse("\"unterminated").is_err());
         assert!(parse("nul").is_err());
         assert!(parse("1 2").is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let deep = "[".repeat(100_000);
+        assert_eq!(parse(&deep), Err(ParseError::TooDeep(MAX_DEPTH)));
+        let objects = "{\"k\":".repeat(MAX_DEPTH + 1);
+        assert!(matches!(parse(&objects), Err(ParseError::TooDeep(_))));
+        // Exactly at the cap still parses.
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_cap).is_ok());
     }
 
     #[test]

@@ -237,6 +237,20 @@ mod tests {
     }
 
     #[test]
+    fn paper_fig5_claims_hold_at_quick_settings() {
+        // `experiments --quick fig5` (seed 2010, 5 packets per client):
+        // the paper's "approximately three quarters within 2.5°" and
+        // "all within 14°", pinned at today's 75% / 100%.
+        let r = run(2010, 5);
+        assert!(
+            r.frac_within_2p5 >= 0.75,
+            "within 2.5 deg: {:.2}",
+            r.frac_within_2p5
+        );
+        assert_eq!(r.frac_within_14, 1.0, "within 14 deg");
+    }
+
+    #[test]
     fn results_are_deterministic_in_the_seed() {
         let a = run(5, 2);
         let b = run(5, 2);
