@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use sa_bench::capture_linear;
-use secureangle::signature::{AoaSignature, MatchConfig, SignatureTracker};
+use secureangle::signature::{AoaSignature, SignatureTracker};
 
 fn signatures() -> (AoaSignature, AoaSignature) {
     let cap0 = capture_linear(5, 8, 0xF166);
@@ -24,10 +24,7 @@ fn signatures() -> (AoaSignature, AoaSignature) {
 
 fn bench_signature_compare(c: &mut Criterion) {
     let (a, b) = signatures();
-    let cfg = MatchConfig::default();
-    c.bench_function("fig6_signature_compare", |bch| {
-        bch.iter(|| a.compare(&b, &cfg))
-    });
+    c.bench_function("fig6_signature_compare", |bch| bch.iter(|| a.compare(&b)));
 }
 
 fn bench_tracker_update(c: &mut Criterion) {

@@ -7,9 +7,8 @@
 //! can be determined to enable this service."
 //!
 //! A fence is a polygon in the floor-plan frame. Frames are admitted
-//! when the localized transmitter lies inside (with an optional safety
-//! margin and consistency checks on the fix quality, so a false-positive
-//! AoA does not open the fence).
+//! when the localized transmitter lies inside, with consistency checks
+//! on the fix quality so a false-positive AoA does not open the fence.
 
 use crate::localize::{localize, BearingObservation, Fix, LocalizeError};
 use sa_channel::geom::{point_in_polygon, Point};
@@ -36,46 +35,21 @@ impl FenceDecision {
     }
 }
 
-/// Fence configuration.
-#[derive(Debug, Clone)]
-pub struct FenceConfig {
-    /// Maximum acceptable RMS bearing-line residual, meters; above this
-    /// the fix is `Unreliable`.
-    pub max_residual_m: f64,
-    /// Reject fixes with any bearing pointing away from the solution
-    /// (the multi-AP false-positive filter of §3.1).
-    pub reject_behind: bool,
-    /// When an all-bearings fix is unreliable and ≥3 bearings exist,
-    /// retry leaving each bearing out and accept the best consistent
-    /// subset — the paper's §3.1 remedy: "multiple APs can be applied to
-    /// remove the false positive direct path AoA as those false positive
-    /// AoAs obtained from different APs may not intersect with each
-    /// other".
-    pub drop_outlier_bearing: bool,
-}
-
-impl Default for FenceConfig {
-    fn default() -> Self {
-        Self {
-            max_residual_m: 3.0,
-            reject_behind: true,
-            drop_outlier_bearing: true,
-        }
-    }
-}
+/// Maximum acceptable RMS bearing-line residual, meters; above this the
+/// fix is `Unreliable`.
+pub const MAX_RESIDUAL_M: f64 = 3.0;
 
 /// A polygonal virtual fence over a set of cooperating APs.
 #[derive(Debug, Clone)]
 pub struct VirtualFence {
     polygon: Vec<Point>,
-    cfg: FenceConfig,
 }
 
 impl VirtualFence {
     /// Build a fence from a polygon (≥3 vertices).
-    pub fn new(polygon: Vec<Point>, cfg: FenceConfig) -> Self {
+    pub fn new(polygon: Vec<Point>) -> Self {
         assert!(polygon.len() >= 3, "fence polygon needs >= 3 vertices");
-        Self { polygon, cfg }
+        Self { polygon }
     }
 
     /// The fence polygon.
@@ -89,6 +63,15 @@ impl VirtualFence {
     }
 
     /// Localize from per-AP bearings and decide.
+    ///
+    /// A fix is reliable when its residual is at most [`MAX_RESIDUAL_M`]
+    /// and no bearing points away from it (the multi-AP false-positive
+    /// filter of §3.1). When the all-bearings fix is unreliable and ≥3
+    /// bearings exist, each bearing is left out in turn and the best
+    /// reliable subset fix is kept — the paper's §3.1 remedy: "multiple
+    /// APs can be applied to remove the false positive direct path AoA
+    /// as those false positive AoAs obtained from different APs may not
+    /// intersect with each other".
     pub fn decide(&self, bearings: &[BearingObservation]) -> FenceDecision {
         let fix = match localize(bearings) {
             Ok(f) => f,
@@ -97,10 +80,9 @@ impl VirtualFence {
         if self.is_reliable(&fix) {
             return self.classify(fix);
         }
-        // Unreliable: optionally hunt for a single false-positive AoA by
-        // leaving each bearing out and keeping the most consistent
-        // subset fix.
-        if self.cfg.drop_outlier_bearing && bearings.len() >= 3 {
+        // Unreliable: hunt for a single false-positive AoA by leaving
+        // each bearing out and keeping the most consistent subset fix.
+        if bearings.len() >= 3 {
             let mut best: Option<Fix> = None;
             for skip in 0..bearings.len() {
                 let subset: Vec<BearingObservation> = bearings
@@ -123,8 +105,7 @@ impl VirtualFence {
     }
 
     fn is_reliable(&self, fix: &Fix) -> bool {
-        fix.residual_m <= self.cfg.max_residual_m
-            && (!self.cfg.reject_behind || fix.behind_count == 0)
+        fix.residual_m <= MAX_RESIDUAL_M && fix.behind_count == 0
     }
 
     fn classify(&self, fix: Fix) -> FenceDecision {
@@ -142,10 +123,12 @@ mod tests {
     use sa_channel::geom::pt;
 
     fn square_fence() -> VirtualFence {
-        VirtualFence::new(
-            vec![pt(0.0, 0.0), pt(10.0, 0.0), pt(10.0, 8.0), pt(0.0, 8.0)],
-            FenceConfig::default(),
-        )
+        VirtualFence::new(vec![
+            pt(0.0, 0.0),
+            pt(10.0, 0.0),
+            pt(10.0, 8.0),
+            pt(0.0, 8.0),
+        ])
     }
 
     fn bearings_to(target: Point, aps: &[Point]) -> Vec<BearingObservation> {
@@ -205,34 +188,47 @@ mod tests {
 
     #[test]
     fn high_residual_fails_closed() {
-        let cfg = FenceConfig {
-            max_residual_m: 0.05,
-            reject_behind: false,
-            // Exercise the residual gate itself: no outlier hunting
-            // (with 3 bearings every leave-one-out pair has residual 0).
-            drop_outlier_bearing: false,
-        };
-        let fence = VirtualFence::new(
-            vec![pt(0.0, 0.0), pt(10.0, 0.0), pt(10.0, 8.0), pt(0.0, 8.0)],
-            cfg,
-        );
-        // Three bearings that disagree by a lot.
+        let fence = square_fence();
+        // A pinwheel of four bearings, each pointing past the fence
+        // centre along a different side of a 20 m × 18 m box: the
+        // all-bearings fix lands inside the fence with every bearing
+        // pointing towards it, but the lines miss it by meters, and no
+        // leave-one-out triple intersects any better.
         let b = vec![
             BearingObservation {
-                ap_position: pt(1.0, 1.0),
-                azimuth: 0.6,
+                ap_position: pt(-5.0, -5.0),
+                azimuth: 0.0,
             },
             BearingObservation {
-                ap_position: pt(9.0, 1.0),
-                azimuth: 2.5,
+                ap_position: pt(15.0, -5.0),
+                azimuth: std::f64::consts::FRAC_PI_2,
             },
             BearingObservation {
-                ap_position: pt(5.0, 7.0),
-                azimuth: -2.2,
+                ap_position: pt(15.0, 13.0),
+                azimuth: std::f64::consts::PI,
+            },
+            BearingObservation {
+                ap_position: pt(-5.0, 13.0),
+                azimuth: -std::f64::consts::FRAC_PI_2,
             },
         ];
+        for skip in 0..b.len() {
+            let mut subset = b.clone();
+            subset.remove(skip);
+            let fix = localize(&subset).unwrap();
+            assert!(fix.residual_m > MAX_RESIDUAL_M, "subset fix {:?}", fix);
+        }
         let d = fence.decide(&b);
-        assert!(matches!(d, FenceDecision::Unreliable(_)) || !d.admit());
+        assert!(!d.admit());
+        match d {
+            FenceDecision::Unreliable(fix) => {
+                // Only the residual gate can have rejected it.
+                assert!(fence.contains(fix.position), "fix {:?}", fix);
+                assert_eq!(fix.behind_count, 0);
+                assert!(fix.residual_m > MAX_RESIDUAL_M, "fix {:?}", fix);
+            }
+            other => panic!("expected Unreliable, got {:?}", other),
+        }
     }
 
     #[test]
@@ -250,7 +246,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "3 vertices")]
     fn degenerate_polygon_rejected() {
-        let _ = VirtualFence::new(vec![pt(0.0, 0.0), pt(1.0, 0.0)], FenceConfig::default());
+        let _ = VirtualFence::new(vec![pt(0.0, 0.0), pt(1.0, 0.0)]);
     }
 
     #[test]
@@ -268,26 +264,5 @@ mod tests {
         if let FenceDecision::Inside(fix) = d {
             assert!(fix.position.dist(target) < 0.5, "fix {:?}", fix.position);
         }
-    }
-
-    #[test]
-    fn outlier_rejection_can_be_disabled() {
-        let cfg = FenceConfig {
-            drop_outlier_bearing: false,
-            ..FenceConfig::default()
-        };
-        let fence = VirtualFence::new(
-            vec![pt(0.0, 0.0), pt(10.0, 0.0), pt(10.0, 8.0), pt(0.0, 8.0)],
-            cfg,
-        );
-        let target = pt(5.0, 4.0);
-        let mut b = bearings_to(target, &[pt(1.0, 1.0), pt(9.0, 1.0), pt(5.0, 7.0)]);
-        b[2].azimuth += 2.5;
-        let d = fence.decide(&b);
-        assert!(
-            !d.admit(),
-            "should fail closed without outlier hunting: {:?}",
-            d
-        );
     }
 }

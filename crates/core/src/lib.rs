@@ -36,15 +36,13 @@ pub mod spoof;
 pub mod tracking;
 
 pub use attacker::{Attacker, AttackerGear};
-pub use fence::{FenceConfig, FenceDecision, VirtualFence};
+pub use fence::{FenceDecision, VirtualFence};
 pub use localize::{localize, localize_robust, BearingObservation, Fix, LocalizeError};
 pub use pipeline::{
     decode_reference, AccessPoint, ApConfig, BearingReport, DecodedPacket, DropReason,
     FrameVerdict, Observation, ObserveError, PacketBatch,
 };
 pub use rss::{RssDetector, RssPrint, RssVerdict};
-pub use signature::{AoaSignature, MatchConfig, SignatureMatch, SignatureTracker};
-pub use spoof::{
-    ConsensusConfig, ConsensusVerdict, CrossApConsensus, SpoofConfig, SpoofDetector, SpoofVerdict,
-};
-pub use tracking::{MobilityTracker, TrackerConfig};
+pub use signature::{AoaSignature, SignatureMatch, SignatureTracker};
+pub use spoof::{ConsensusVerdict, CrossApConsensus, SpoofDetector, SpoofVerdict};
+pub use tracking::MobilityTracker;

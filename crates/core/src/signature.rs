@@ -14,7 +14,7 @@
 //!
 //! ```
 //! use sa_aoa::pseudospectrum::{angle_diff_deg, Pseudospectrum};
-//! use secureangle::signature::{AoaSignature, MatchConfig};
+//! use secureangle::signature::AoaSignature;
 //!
 //! // A synthetic spectrum: direct path at 120°, reflection at 250°.
 //! let bump = |centers: &[(f64, f64)]| {
@@ -38,12 +38,11 @@
 //! assert_eq!(trained.bearing_deg(), 120.0);
 //!
 //! // The same client re-measured (slight drift) scores high…
-//! let cfg = MatchConfig::default();
 //! let again = bump(&[(121.0, 0.95), (251.0, 0.45)]);
-//! assert!(trained.compare(&again, &cfg).score > 0.8);
+//! assert!(trained.compare(&again).score > 0.8);
 //! // …an attacker across the room does not.
 //! let attacker = bump(&[(310.0, 1.0), (40.0, 0.5)]);
-//! assert!(trained.compare(&attacker, &cfg).score < 0.45);
+//! assert!(trained.compare(&attacker).score < 0.45);
 //! ```
 
 use sa_aoa::pseudospectrum::{angle_diff_deg, Peak, Pseudospectrum};
@@ -81,38 +80,21 @@ pub struct SignatureMatch {
     pub score: f64,
 }
 
-/// Weights and scales for the combined match score.
-#[derive(Debug, Clone, Copy)]
-pub struct MatchConfig {
-    /// Weight of the cosine component.
-    pub w_cosine: f64,
-    /// Weight of the dB-shape component.
-    pub w_db: f64,
-    /// Weight of the peak component.
-    pub w_peaks: f64,
-    /// RMS-dB scale (dB) for the `db_shape` exponential.
-    pub db_scale: f64,
-    /// Angular scale (degrees) for peak matching.
-    pub peak_scale_deg: f64,
-    /// Number of strongest peaks compared.
-    pub max_peaks: usize,
-    /// Minimum peak prominence considered, dB.
-    pub min_prominence_db: f64,
-}
-
-impl Default for MatchConfig {
-    fn default() -> Self {
-        Self {
-            w_cosine: 0.45,
-            w_db: 0.25,
-            w_peaks: 0.30,
-            db_scale: 6.0,
-            peak_scale_deg: 10.0,
-            max_peaks: 5,
-            min_prominence_db: 1.5,
-        }
-    }
-}
+// Weights and scales of the combined match score.
+/// Weight of the cosine component.
+const W_COSINE: f64 = 0.45;
+/// Weight of the dB-shape component.
+const W_DB: f64 = 0.25;
+/// Weight of the peak component.
+const W_PEAKS: f64 = 0.30;
+/// RMS-dB scale (dB) for the `db_shape` exponential.
+const DB_SCALE: f64 = 6.0;
+/// Angular scale (degrees) for peak matching.
+const PEAK_SCALE_DEG: f64 = 10.0;
+/// Number of strongest peaks compared.
+const MAX_PEAKS: usize = 5;
+/// Minimum peak prominence considered, dB.
+const MIN_PROMINENCE_DB: f64 = 1.5;
 
 impl AoaSignature {
     /// Build a signature from a pseudospectrum: Gaussian angular
@@ -145,9 +127,8 @@ impl AoaSignature {
     }
 
     /// The signature's peak constellation.
-    pub fn peaks(&self, cfg: &MatchConfig) -> Vec<Peak> {
-        self.spectrum
-            .find_peaks(cfg.min_prominence_db, cfg.max_peaks)
+    pub fn peaks(&self) -> Vec<Peak> {
+        self.spectrum.find_peaks(MIN_PROMINENCE_DB, MAX_PEAKS)
     }
 
     /// Compare against another signature on the same grid.
@@ -155,7 +136,7 @@ impl AoaSignature {
     /// Panics if the spectra are on different angular domains (an AP
     /// always compares its own captures, so grids match by
     /// construction).
-    pub fn compare(&self, other: &AoaSignature, cfg: &MatchConfig) -> SignatureMatch {
+    pub fn compare(&self, other: &AoaSignature) -> SignatureMatch {
         let a = &self.spectrum;
         let b = &other.spectrum;
         assert_eq!(
@@ -185,19 +166,19 @@ impl AoaSignature {
             .sum::<f64>()
             / da.len() as f64)
             .sqrt();
-        let db_shape = (-rms / cfg.db_scale).exp();
+        let db_shape = (-rms / DB_SCALE).exp();
 
         // Peak-constellation agreement: greedy nearest matching,
         // symmetrised (greedy assignment is directional; averaging both
         // directions makes compare(a,b) == compare(b,a)).
-        let pa = self.peaks(cfg);
-        let pb = other.peaks(cfg);
+        let pa = self.peaks();
+        let pb = other.peaks();
         let peaks = 0.5
-            * (peak_agreement(&pa, &pb, a.wraps, cfg.peak_scale_deg)
-                + peak_agreement(&pb, &pa, a.wraps, cfg.peak_scale_deg));
+            * (peak_agreement(&pa, &pb, a.wraps, PEAK_SCALE_DEG)
+                + peak_agreement(&pb, &pa, a.wraps, PEAK_SCALE_DEG));
 
-        let wsum = cfg.w_cosine + cfg.w_db + cfg.w_peaks;
-        let score = (cfg.w_cosine * cosine + cfg.w_db * db_shape + cfg.w_peaks * peaks) / wsum;
+        let wsum = W_COSINE + W_DB + W_PEAKS;
+        let score = (W_COSINE * cosine + W_DB * db_shape + W_PEAKS * peaks) / wsum;
         SignatureMatch {
             cosine,
             db_shape,
@@ -384,7 +365,7 @@ mod tests {
     #[test]
     fn self_comparison_is_perfect() {
         let s = bump(&[(100.0, 1.0), (220.0, 0.4)]);
-        let m = s.compare(&s, &MatchConfig::default());
+        let m = s.compare(&s);
         assert!((m.cosine - 1.0).abs() < 1e-12);
         assert!((m.db_shape - 1.0).abs() < 1e-12);
         assert!((m.peaks - 1.0).abs() < 1e-9);
@@ -395,7 +376,7 @@ mod tests {
     fn similar_signatures_score_high() {
         let a = bump(&[(100.0, 1.0), (220.0, 0.4)]);
         let b = bump(&[(101.5, 0.95), (221.0, 0.45)]); // slight drift
-        let m = a.compare(&b, &MatchConfig::default());
+        let m = a.compare(&b);
         assert!(m.score > 0.8, "score {}", m.score);
     }
 
@@ -403,7 +384,7 @@ mod tests {
     fn different_locations_score_low() {
         let a = bump(&[(100.0, 1.0), (220.0, 0.4)]);
         let b = bump(&[(310.0, 1.0), (40.0, 0.5)]);
-        let m = a.compare(&b, &MatchConfig::default());
+        let m = a.compare(&b);
         assert!(m.score < 0.45, "score {}", m.score);
     }
 
@@ -413,8 +394,8 @@ mod tests {
         // reflections — the paper's key hardness argument.
         let legit = bump(&[(100.0, 1.0), (220.0, 0.5), (320.0, 0.35)]);
         let forged = bump(&[(100.0, 1.0), (150.0, 0.5), (30.0, 0.35)]);
-        let self_m = legit.compare(&legit, &MatchConfig::default());
-        let forged_m = legit.compare(&forged, &MatchConfig::default());
+        let self_m = legit.compare(&legit);
+        let forged_m = legit.compare(&forged);
         assert!(
             self_m.score - forged_m.score > 0.2,
             "forged {} vs self {}",
@@ -433,7 +414,7 @@ mod tests {
     fn peak_agreement_wraps() {
         let a = bump(&[(1.0, 1.0)]);
         let b = bump(&[(359.0, 1.0)]);
-        let m = a.compare(&b, &MatchConfig::default());
+        let m = a.compare(&b);
         assert!(m.peaks > 0.7, "wrap-aware peak agreement {}", m.peaks);
     }
 
@@ -445,9 +426,7 @@ mod tests {
         for _ in 0..30 {
             tracker.update(&target);
         }
-        let m = tracker
-            .signature()
-            .compare(&target, &MatchConfig::default());
+        let m = tracker.signature().compare(&target);
         assert!(m.score > 0.95, "converged score {}", m.score);
         assert_eq!(tracker.updates, 31);
     }
@@ -460,10 +439,8 @@ mod tests {
         tracker.update(&outlier);
         // One outlier at α=0.1 must not drag the signature away: it must
         // stay far closer to the base than to the outlier.
-        let to_base = tracker.signature().compare(&base, &MatchConfig::default());
-        let to_outlier = tracker
-            .signature()
-            .compare(&outlier, &MatchConfig::default());
+        let to_base = tracker.signature().compare(&base);
+        let to_outlier = tracker.signature().compare(&outlier);
         assert!(to_base.score > 0.7, "score after outlier {}", to_base.score);
         assert!(
             to_base.score > to_outlier.score + 0.1,
@@ -480,7 +457,7 @@ mod tests {
         let angles: Vec<f64> = (0..180).map(|i| 2.0 * i as f64).collect();
         let vals = vec![1.0; 180];
         let b = AoaSignature::from_spectrum(&Pseudospectrum::new(angles, vals, true));
-        let _ = a.compare(&b, &MatchConfig::default());
+        let _ = a.compare(&b);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! the profile toward their own position).
 
 use crate::localize::Fix;
-use crate::signature::{AoaSignature, MatchConfig, SignatureTracker};
+use crate::signature::{AoaSignature, SignatureTracker};
 use sa_channel::geom::Point;
 use sa_mac::MacAddr;
 use std::collections::HashMap;
@@ -43,59 +43,33 @@ impl SpoofVerdict {
     }
 }
 
-/// Detector configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct SpoofConfig {
-    /// Scores at or above this admit the frame; below flags it.
-    /// Calibrated by experiment E5 (score distributions of legitimate
-    /// re-measurements vs attackers; `sa_testbed::experiments::spoofing`,
-    /// regenerated by the `experiments` binary in `sa-bench`).
-    pub threshold: f64,
-    /// EWMA weight for tracker updates on matching frames.
-    pub track_alpha: f64,
-    /// Signature comparison parameters.
-    pub match_config: MatchConfig,
-}
+/// Match scores at or above this admit the frame; below flags it.
+///
+/// Calibrated on experiment E5's score distributions under realistic
+/// session churn (`sa_testbed::experiments::spoofing`, regenerated by the
+/// `experiments` binary in `sa-bench`): legitimate re-measurements score
+/// median ≈ 0.76 (5th percentile ≈ 0.36), attackers median ≈ 0.07 (95th
+/// percentile ≈ 0.35), EER ≈ 5% at 0.35. The threshold sits just above
+/// the EER point, trading a couple of points of detection for fewer false
+/// alarms. A single flag is evidence, not a verdict: containment acts on
+/// the accumulated [`SpoofDetector::flag_count`].
+pub const SPOOF_THRESHOLD: f64 = 0.40;
 
-impl Default for SpoofConfig {
-    fn default() -> Self {
-        Self {
-            // Calibrated on experiment E5's score distributions under
-            // realistic session churn: legitimate re-measurements score
-            // median ≈ 0.76 (5th percentile ≈ 0.36), attackers median
-            // ≈ 0.07 (95th percentile ≈ 0.35), EER ≈ 5% at 0.35. The
-            // default sits just above the EER point, trading a couple of
-            // points of detection for fewer false alarms; deployments
-            // that alert on k-of-n flags can push it higher.
-            threshold: 0.40,
-            track_alpha: 0.15,
-            match_config: MatchConfig::default(),
-        }
-    }
-}
+/// EWMA weight for tracker updates on matching frames.
+const TRACK_ALPHA: f64 = 0.15;
 
 /// Per-AP spoofing detector: MAC → tracked signature, plus a flag count
 /// per MAC.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct SpoofDetector {
-    cfg: SpoofConfig,
     profiles: HashMap<MacAddr, SignatureTracker>,
     flags: HashMap<MacAddr, usize>,
 }
 
 impl SpoofDetector {
     /// New detector with no trained clients.
-    pub fn new(cfg: SpoofConfig) -> Self {
-        Self {
-            cfg,
-            profiles: HashMap::new(),
-            flags: HashMap::new(),
-        }
-    }
-
-    /// Configuration in use.
-    pub fn config(&self) -> &SpoofConfig {
-        &self.cfg
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Train (or retrain) the profile for a MAC from a signature captured
@@ -103,7 +77,7 @@ impl SpoofDetector {
     /// Clears the MAC's flags.
     pub fn train(&mut self, mac: MacAddr, signature: AoaSignature) {
         self.profiles
-            .insert(mac, SignatureTracker::new(signature, self.cfg.track_alpha));
+            .insert(mac, SignatureTracker::new(signature, TRACK_ALPHA));
         self.flags.remove(&mac);
     }
 
@@ -135,11 +109,8 @@ impl SpoofDetector {
         let Some(tracker) = self.profiles.get_mut(&mac) else {
             return SpoofVerdict::Untrained;
         };
-        let score = tracker
-            .signature()
-            .compare(observed, &self.cfg.match_config)
-            .score;
-        if score >= self.cfg.threshold {
+        let score = tracker.signature().compare(observed).score;
+        if score >= SPOOF_THRESHOLD {
             tracker.update(observed);
             SpoofVerdict::Match { score }
         } else {
@@ -149,54 +120,40 @@ impl SpoofDetector {
     }
 }
 
-/// Cross-AP consensus configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct ConsensusConfig {
-    /// Minimum number of AP bearings a fix must fuse before consensus
-    /// has an opinion.
-    pub min_aps: usize,
-    /// A fused fix farther than this from the client's reference
-    /// position is flagged, meters.
-    pub max_displacement_m: f64,
-    /// A fused fix whose bearing lines disagree by more than this RMS
-    /// perpendicular distance is flagged, meters ("those false positive
-    /// AoAs obtained from different APs may not intersect with each
-    /// other", §3.1).
-    pub max_residual_m: f64,
-    /// Extra displacement allowance per *missing* AP when a window is
-    /// partial (fewer bearings than the deployment expects — lost
-    /// reports, skew rejections, churn), meters. A fix fused from fewer
-    /// bearings is geometrically noisier, so
-    /// [`CrossApConsensus::check_degraded`] relaxes the displacement
-    /// gate by `partial_slack_m × (expected − contributed)` instead of
-    /// spraying false spoof flags through every degraded window. The
-    /// full-quorum threshold is unchanged.
-    pub partial_slack_m: f64,
-}
+/// Minimum number of AP bearings a fix must fuse before consensus has
+/// an opinion — the geometric minimum for intersecting bearing lines,
+/// and so also the deployment's fix quorum.
+pub const MIN_APS: usize = 2;
 
-impl Default for ConsensusConfig {
-    fn default() -> Self {
-        Self {
-            min_aps: 2,
-            // Fused fixes scatter by well under a meter for legitimate
-            // line-of-sight clients (multi-AP LS intersection); 2 m
-            // keeps headroom for through-wall bearing bias while still
-            // catching any attacker more than a desk away. Heavily
-            // shadowed clients (e.g. the office's pillar-blocked
-            // client 11) can exceed it on occasional windows, so —
-            // exactly like the per-AP signature threshold — treat
-            // single flags as evidence and alert on k-of-n
-            // ([`CrossApConsensus::flag_count`] accumulates them).
-            max_displacement_m: 2.0,
-            max_residual_m: 2.5,
-            // Half a meter per missing AP: a 4-AP deployment down to
-            // the 2-bearing minimum gets 3 m of displacement headroom —
-            // still well inside the multi-meter displacement a same-MAC
-            // attacker produces.
-            partial_slack_m: 0.5,
-        }
-    }
-}
+/// A fused fix farther than this from the client's reference position is
+/// flagged, meters.
+///
+/// Fused fixes scatter by well under a meter for legitimate line-of-sight
+/// clients (multi-AP LS intersection); 2 m keeps headroom for through-wall
+/// bearing bias while still catching any attacker more than a desk away.
+/// Heavily shadowed clients (e.g. the office's pillar-blocked client 11)
+/// can exceed it on occasional windows, so — exactly like the per-AP
+/// signature threshold — treat single flags as evidence and alert on
+/// k-of-n ([`CrossApConsensus::flag_count`] accumulates them).
+const MAX_DISPLACEMENT_M: f64 = 2.0;
+
+/// A fused fix whose bearing lines disagree by more than this RMS
+/// perpendicular distance is flagged, meters ("those false positive AoAs
+/// obtained from different APs may not intersect with each other", §3.1).
+pub const MAX_RESIDUAL_M: f64 = 2.5;
+
+/// Extra displacement allowance per *missing* AP when a window is partial
+/// (fewer bearings than the deployment expects — lost reports, skew
+/// rejections, churn), meters.
+///
+/// A fix fused from fewer bearings is geometrically noisier, so
+/// [`CrossApConsensus::check_degraded`] relaxes the displacement gate by
+/// `PARTIAL_SLACK_M × (expected − contributed)` instead of spraying false
+/// spoof flags through every degraded window. The full-quorum threshold
+/// is unchanged. Half a meter per missing AP: a 4-AP deployment down to
+/// the 2-bearing minimum gets 3 m of displacement headroom — still well
+/// inside the multi-meter displacement a same-MAC attacker produces.
+pub const PARTIAL_SLACK_M: f64 = 0.5;
 
 /// Consensus verdict for one fused fix.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -216,7 +173,7 @@ pub enum ConsensusVerdict {
     },
     /// No reference position is trained for this MAC.
     Untrained,
-    /// Fewer than [`ConsensusConfig::min_aps`] bearings contributed.
+    /// Fewer than [`MIN_APS`] bearings contributed.
     Insufficient,
 }
 
@@ -257,7 +214,6 @@ impl ConsensusVerdict {
 /// [`SpoofDetector`] can.
 #[derive(Debug, Default)]
 pub struct CrossApConsensus {
-    cfg: ConsensusConfig,
     refs: HashMap<MacAddr, Point>,
     flags: HashMap<MacAddr, usize>,
     rebaselines: u64,
@@ -265,18 +221,8 @@ pub struct CrossApConsensus {
 
 impl CrossApConsensus {
     /// New detector.
-    pub fn new(cfg: ConsensusConfig) -> Self {
-        Self {
-            cfg,
-            refs: HashMap::new(),
-            flags: HashMap::new(),
-            rebaselines: 0,
-        }
-    }
-
-    /// Configuration in use.
-    pub fn config(&self) -> &ConsensusConfig {
-        &self.cfg
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Train (or move) the reference position for a MAC — normally the
@@ -335,7 +281,7 @@ impl CrossApConsensus {
     /// [`CrossApConsensus::check`] for a *partial* window: `n_bearings`
     /// distinct APs contributed out of the `expected_aps` the deployment
     /// currently fields. Each missing AP relaxes the displacement gate
-    /// by [`ConsensusConfig::partial_slack_m`]; the residual and
+    /// by [`PARTIAL_SLACK_M`]; the residual and
     /// behind-AP gates are unchanged (fewer bearings make the residual
     /// easier to satisfy, not harder). With `n_bearings == expected_aps`
     /// this is exactly [`CrossApConsensus::check`].
@@ -346,17 +292,17 @@ impl CrossApConsensus {
         n_bearings: usize,
         expected_aps: usize,
     ) -> ConsensusVerdict {
-        if n_bearings < self.cfg.min_aps {
+        if n_bearings < MIN_APS {
             return ConsensusVerdict::Insufficient;
         }
         let Some(reference) = self.refs.get(&mac) else {
             return ConsensusVerdict::Untrained;
         };
         let missing = expected_aps.saturating_sub(n_bearings) as f64;
-        let allowed_displacement = self.cfg.max_displacement_m + self.cfg.partial_slack_m * missing;
+        let allowed_displacement = MAX_DISPLACEMENT_M + PARTIAL_SLACK_M * missing;
         let displacement_m = reference.dist(fix.position);
         if displacement_m > allowed_displacement
-            || fix.residual_m > self.cfg.max_residual_m
+            || fix.residual_m > MAX_RESIDUAL_M
             || fix.behind_count > 0
         {
             *self.flags.entry(mac).or_insert(0) += 1;
@@ -416,7 +362,7 @@ mod tests {
 
     #[test]
     fn untrained_mac_reports_untrained() {
-        let mut det = SpoofDetector::new(SpoofConfig::default());
+        let mut det = SpoofDetector::new();
         let v = det.check(mac(1), &bump(&[(10.0, 1.0)]));
         assert_eq!(v, SpoofVerdict::Untrained);
         assert!(!det.is_trained(&mac(1)));
@@ -424,7 +370,7 @@ mod tests {
 
     #[test]
     fn legitimate_remeasurement_matches() {
-        let mut det = SpoofDetector::new(SpoofConfig::default());
+        let mut det = SpoofDetector::new();
         det.train(mac(1), bump(&[(100.0, 1.0), (220.0, 0.4)]));
         let v = det.check(mac(1), &bump(&[(101.0, 0.97), (221.0, 0.42)]));
         match v {
@@ -436,7 +382,7 @@ mod tests {
 
     #[test]
     fn attacker_elsewhere_is_flagged() {
-        let mut det = SpoofDetector::new(SpoofConfig::default());
+        let mut det = SpoofDetector::new();
         det.train(mac(1), bump(&[(100.0, 1.0), (220.0, 0.4)]));
         let v = det.check(mac(1), &bump(&[(290.0, 1.0), (30.0, 0.5)]));
         assert!(v.is_spoof(), "verdict {:?}", v);
@@ -445,7 +391,7 @@ mod tests {
 
     #[test]
     fn matching_frames_update_profile_but_spoofs_do_not() {
-        let mut det = SpoofDetector::new(SpoofConfig::default());
+        let mut det = SpoofDetector::new();
         det.train(mac(1), bump(&[(100.0, 1.0)]));
         // Attacker hammers from 300°: profile must not drift there.
         for _ in 0..50 {
@@ -465,7 +411,7 @@ mod tests {
     fn profile_follows_slow_drift() {
         // Client's environment drifts slowly; each step still matches,
         // and the tracker follows.
-        let mut det = SpoofDetector::new(SpoofConfig::default());
+        let mut det = SpoofDetector::new();
         det.train(mac(1), bump(&[(100.0, 1.0)]));
         for step in 1..=10 {
             let c = 100.0 + step as f64; // 1°/frame drift
@@ -483,7 +429,7 @@ mod tests {
 
     #[test]
     fn retrain_clears_flags() {
-        let mut det = SpoofDetector::new(SpoofConfig::default());
+        let mut det = SpoofDetector::new();
         det.train(mac(1), bump(&[(100.0, 1.0)]));
         let _ = det.check(mac(1), &bump(&[(300.0, 1.0)]));
         assert_eq!(det.flag_count(&mac(1)), 1);
@@ -501,7 +447,7 @@ mod tests {
 
     #[test]
     fn consensus_untrained_and_insufficient() {
-        let mut c = CrossApConsensus::new(ConsensusConfig::default());
+        let mut c = CrossApConsensus::new();
         assert_eq!(
             c.check(mac(1), &fix_at(0.0, 0.0, 0.1, 0), 1),
             ConsensusVerdict::Insufficient
@@ -515,7 +461,7 @@ mod tests {
 
     #[test]
     fn consensus_consistent_fix_passes() {
-        let mut c = CrossApConsensus::new(ConsensusConfig::default());
+        let mut c = CrossApConsensus::new();
         c.train(mac(1), pt(5.0, 5.0));
         let v = c.check(mac(1), &fix_at(5.4, 4.8, 0.3, 0), 3);
         match v {
@@ -529,7 +475,7 @@ mod tests {
 
     #[test]
     fn consensus_flags_displaced_fix() {
-        let mut c = CrossApConsensus::new(ConsensusConfig::default());
+        let mut c = CrossApConsensus::new();
         c.train(mac(1), pt(5.0, 5.0));
         let v = c.check(mac(1), &fix_at(12.0, 5.0, 0.2, 0), 3);
         assert!(v.is_spoof(), "verdict {:?}", v);
@@ -544,7 +490,7 @@ mod tests {
 
     #[test]
     fn consensus_flags_high_residual_and_behind_fixes() {
-        let mut c = CrossApConsensus::new(ConsensusConfig::default());
+        let mut c = CrossApConsensus::new();
         c.train(mac(1), pt(5.0, 5.0));
         // Near the reference, but the bearing lines barely intersect:
         // the §3.1 false-positive signature.
@@ -555,8 +501,7 @@ mod tests {
 
     #[test]
     fn degraded_check_relaxes_displacement_per_missing_ap() {
-        let cfg = ConsensusConfig::default();
-        let mut c = CrossApConsensus::new(cfg);
+        let mut c = CrossApConsensus::new();
         c.train(mac(1), pt(5.0, 5.0));
         // 2.8 m displacement: over the 2.0 m full-quorum gate, inside
         // the 2 + 2×0.5 = 3.0 m gate of a 2-of-4 partial window.
@@ -586,7 +531,7 @@ mod tests {
 
     #[test]
     fn rebaseline_clears_references_but_keeps_flags() {
-        let mut c = CrossApConsensus::new(ConsensusConfig::default());
+        let mut c = CrossApConsensus::new();
         c.train(mac(1), pt(5.0, 5.0));
         c.train(mac(2), pt(9.0, 2.0));
         assert!(c.check(mac(1), &fix_at(12.0, 5.0, 0.2, 0), 3).is_spoof());
@@ -607,7 +552,7 @@ mod tests {
 
     #[test]
     fn per_mac_isolation() {
-        let mut det = SpoofDetector::new(SpoofConfig::default());
+        let mut det = SpoofDetector::new();
         det.train(mac(1), bump(&[(100.0, 1.0)]));
         det.train(mac(2), bump(&[(250.0, 1.0)]));
         assert!(matches!(

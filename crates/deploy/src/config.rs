@@ -3,8 +3,6 @@
 use crate::faults::FaultPlan;
 use crate::health::HealthConfig;
 use sa_telemetry::TelemetryConfig;
-use secureangle::spoof::ConsensusConfig;
-use secureangle::tracking::TrackerConfig;
 
 /// Per-AP clock skew model: how an AP's *local* window and sequence
 /// labels relate to the coordinator's global ones. Real APs free-run on
@@ -110,10 +108,9 @@ impl Default for LinkConfig {
 /// use sa_deploy::{DeployConfig, LinkConfig};
 ///
 /// // A deployment expecting rough infrastructure: 10% report loss
-/// // with 3 retransmits, 3-AP fix quorum, confidence-weighted fusion.
+/// // with 3 retransmits, confidence-weighted fusion.
 /// let cfg = DeployConfig {
 ///     link: LinkConfig { loss_rate: 0.10, retry_limit: 3, seed: 7 },
-///     min_aps_for_fix: 3,
 ///     weight_bearings_by_confidence: true,
 ///     ..DeployConfig::default()
 /// };
@@ -143,19 +140,6 @@ pub struct DeployConfig {
     /// that observation (the paper's "initial training stage", run at
     /// deployment scale).
     pub auto_train_signatures: bool,
-    /// Auto-train consensus reference positions: a client's first clean
-    /// fused fix (low residual, no behind-AP bearings) becomes its
-    /// reference for the cross-AP spoof consensus.
-    pub auto_train_references: bool,
-    /// Minimum number of distinct APs that must contribute a bearing
-    /// before fusion attempts a localization fix.
-    pub min_aps_for_fix: usize,
-    /// Residual gate for auto-trained reference positions, meters.
-    pub reference_train_max_residual_m: f64,
-    /// Cross-AP consensus thresholds.
-    pub consensus: ConsensusConfig,
-    /// Per-client α–β tracker gains.
-    pub tracker: TrackerConfig,
     /// Clock-skew alignment tolerance, windows: a worker report whose
     /// local window label deviates from the learned per-AP offset by
     /// more than this is rejected (its bearings are excluded from
@@ -250,11 +234,6 @@ impl Default for DeployConfig {
             channel_capacity: 64,
             snapshot_cap: 256,
             auto_train_signatures: true,
-            auto_train_references: true,
-            min_aps_for_fix: 2,
-            reference_train_max_residual_m: 1.0,
-            consensus: ConsensusConfig::default(),
-            tracker: TrackerConfig::default(),
             max_skew_windows: 2,
             link: LinkConfig::default(),
             weight_bearings_by_confidence: false,
@@ -324,8 +303,6 @@ mod tests {
         let cfg = DeployConfig::default();
         assert!(cfg.window_dt_s > 0.0);
         assert!(cfg.channel_capacity > 0);
-        assert!(cfg.min_aps_for_fix >= 2);
-        assert!(cfg.reference_train_max_residual_m <= cfg.consensus.max_residual_m);
         // Degraded-mode defaults: reliable link, ±2 window tolerance,
         // unit-weight fusion — the PR-3 behavior exactly.
         assert_eq!(cfg.link.loss_rate, 0.0);

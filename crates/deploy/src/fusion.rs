@@ -18,10 +18,18 @@ use sa_channel::geom::Point;
 use sa_mac::MacAddr;
 use sa_telemetry::{Histogram, StageTimer};
 use secureangle::localize::{localize_robust, localize_robust_weighted, BearingObservation};
-use secureangle::spoof::{ConsensusVerdict, CrossApConsensus};
+use secureangle::spoof::{ConsensusVerdict, CrossApConsensus, MAX_RESIDUAL_M, MIN_APS};
 use secureangle::tracking::MobilityTracker;
 use std::collections::BTreeMap;
 use std::sync::Arc;
+
+/// Residual gate for auto-trained consensus reference positions, meters:
+/// a client's first clean fused fix (no behind-AP bearings, residual at
+/// most this) becomes its reference for the cross-AP spoof consensus.
+const REFERENCE_TRAIN_MAX_RESIDUAL_M: f64 = 1.0;
+
+// A reference must be cleaner than any fix the consensus accepts.
+const _: () = assert!(REFERENCE_TRAIN_MAX_RESIDUAL_M <= MAX_RESIDUAL_M);
 
 /// Per-client fusion state.
 struct ClientState {
@@ -73,7 +81,7 @@ impl Fusion {
     /// New fusion stage for APs at the given positions (all live).
     pub fn new(ap_positions: Vec<Point>, cfg: DeployConfig) -> Self {
         Self {
-            consensus: CrossApConsensus::new(cfg.consensus),
+            consensus: CrossApConsensus::new(),
             clients: BTreeMap::new(),
             cfg,
             live: vec![true; ap_positions.len()],
@@ -189,9 +197,7 @@ impl Fusion {
     /// [`Fusion::fuse_window`] with the coordinator's per-window
     /// degradation knowledge: `expected_aps` is the live membership
     /// *when the window was submitted* (it may differ from the current
-    /// membership under churn) and sets the effective fix quorum
-    /// (`min_aps_for_fix`, clamped to what the membership can deliver,
-    /// never below 2); `missing_aps` is how many of those APs'
+    /// membership under churn); `missing_aps` is how many of those APs'
     /// reports are *known* not to have arrived (lost on the link,
     /// rejected for skew, marker lost, or the worker died). Only
     /// `missing_aps` earns the consensus displacement slack
@@ -224,11 +230,6 @@ impl Fusion {
             .as_deref()
             .and_then(DeployTelemetry::recorder);
         let cfg = &self.cfg;
-        // Degrade the fix quorum with the membership: a 4-AP policy on
-        // a deployment temporarily down to 2 live APs must still fix
-        // (two bearings are the geometric minimum), but never fix on a
-        // single bearing.
-        let quorum = cfg.min_aps_for_fix.min(expected_aps).max(2);
         let n_packets = packets.len();
         // Pre-size for per-client report groups: the live membership is
         // the expected number of reports per client per window, so groups
@@ -312,21 +313,23 @@ impl Fusion {
                 confidence_sum / bearings.len() as f64
             };
 
-            let (fix, track, consensus) = if n_aps >= quorum {
+            // Two bearings are the geometric minimum for a fix, whatever
+            // the membership: never fix on a single bearing.
+            let (fix, track, consensus) = if n_aps >= MIN_APS {
                 // Robust fit: a single AP's multipath ghost (a bearing
                 // the fix lands behind) is dropped and the fix refit.
                 // Optionally confidence-weighted, so marginal bearings
                 // pull degraded windows less.
                 let solved = if cfg.weight_bearings_by_confidence {
-                    localize_robust_weighted(&bearings, &confidences, quorum)
+                    localize_robust_weighted(&bearings, &confidences, MIN_APS)
                 } else {
-                    localize_robust(&bearings, quorum)
+                    localize_robust(&bearings, MIN_APS)
                 };
                 match solved {
                     Ok((fix, dropped)) => {
                         // Smooth the trace.
                         let state = self.clients.entry(mac).or_insert_with(|| ClientState {
-                            tracker: MobilityTracker::new(cfg.tracker),
+                            tracker: MobilityTracker::new(),
                             last_window: window,
                             fixes: 0,
                             residual_sum: 0.0,
@@ -363,9 +366,8 @@ impl Fusion {
                             )
                         };
                         if verdict == ConsensusVerdict::Untrained
-                            && cfg.auto_train_references
                             && fix.behind_count == 0
-                            && fix.residual_m <= cfg.reference_train_max_residual_m
+                            && fix.residual_m <= REFERENCE_TRAIN_MAX_RESIDUAL_M
                         {
                             self.consensus.train(mac, fix.position);
                         }
@@ -603,34 +605,6 @@ mod tests {
         let out = fusion.fuse_window(0, vec![pkt(0, 0, 1, 0.3), pkt(1, 0, 1, 0.3)]);
         assert_eq!(out.localize_failures, 1);
         assert!(out.clients[0].fix.is_none());
-    }
-
-    #[test]
-    fn quorum_degrades_with_live_membership() {
-        let aps = square_aps();
-        let target = pt(4.0, 6.0);
-        let cfg = DeployConfig {
-            min_aps_for_fix: 3,
-            ..DeployConfig::default()
-        };
-        let mut fusion = Fusion::new(aps.clone(), cfg);
-        // Full membership: two bearings miss the 3-AP quorum.
-        let two = vec![
-            pkt(0, 0, 1, aps[0].azimuth_to(target)),
-            pkt(1, 0, 1, aps[1].azimuth_to(target)),
-        ];
-        let out = fusion.fuse_window(0, two.clone());
-        assert!(out.clients[0].fix.is_none());
-        assert_eq!(out.expected_aps, 4);
-        // Two APs retire: the quorum clamps to what the membership can
-        // deliver and the same two bearings now fix.
-        fusion.retire_ap(2);
-        fusion.retire_ap(3);
-        let out = fusion.fuse_window(1, two);
-        assert_eq!(out.expected_aps, 2);
-        let fix = out.clients[0].fix.expect("degraded quorum fix");
-        assert!(fix.position.dist(target) < 1e-6);
-        assert_eq!(out.clients[0].expected_aps, 2);
     }
 
     #[test]

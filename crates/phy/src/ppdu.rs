@@ -183,9 +183,12 @@ impl Receiver {
         // the coarse estimate (S&C points at the start of the two
         // identical halves, i.e. one CP after the true preamble start).
         let pre = preamble_time_ref();
+        let Some(last_start) = rx.len().checked_sub(pre.len()) else {
+            return Err(PhyError::TooShort);
+        };
         let coarse = det.start.saturating_sub(N_CP);
         let lo = coarse.saturating_sub(N_CP);
-        let hi = (coarse + N_CP).min(rx.len().saturating_sub(pre.len()));
+        let hi = (coarse + N_CP).min(last_start);
         if lo > hi {
             return Err(PhyError::TooShort);
         }
@@ -378,6 +381,15 @@ mod tests {
         let cut = PREAMBLE_LEN + SYMBOL_LEN; // keep preamble + 1 symbol
         let buf = in_buffer(&wave[..cut + PREAMBLE_LEN], 0, cut + PREAMBLE_LEN);
         assert_eq!(rx.decode(&buf).unwrap_err(), PhyError::TooShort);
+    }
+
+    #[test]
+    fn capture_cut_inside_the_preamble_reports_too_short() {
+        // Detection fires on the S&C half-symbols, but the matched filter
+        // has no room for the full preamble.
+        let (tx, rx) = tx_rx(Modulation::Qpsk);
+        let wave = tx.encode(&[0x3C; 8]);
+        assert_eq!(rx.decode(&wave[..118]).unwrap_err(), PhyError::TooShort);
     }
 
     #[test]

@@ -68,95 +68,6 @@ pub fn sample_covariance_strided_into(x: &Snapshots, stride: usize, out: &mut CM
     out.scale_mut(1.0 / n as f64);
 }
 
-/// Streaming sample-covariance builder: accumulate `R·N = Σ x_t·x_t^H`
-/// one rank-1 update at a time as snapshots arrive, instead of holding
-/// the whole snapshot matrix and traversing it afterwards. Feeding the
-/// same snapshots in the same order reproduces
-/// [`sample_covariance_into`] bit for bit (identical accumulation
-/// order); the win is that no `M × N` snapshot matrix is ever built for
-/// sources that deliver samples incrementally.
-///
-/// ```
-/// use sa_linalg::{c64, CMat};
-/// use sa_sigproc::covariance::{sample_covariance, CovAccumulator};
-///
-/// let x = CMat::from_fn(4, 32, |i, t| c64((i + t) as f64, i as f64));
-/// let mut acc = CovAccumulator::new(4);
-/// for t in 0..x.cols() {
-///     acc.push_col(&x, t);
-/// }
-/// let mut r = CMat::default();
-/// acc.covariance_into(&mut r);
-/// assert_eq!(r, sample_covariance(&x));
-/// ```
-#[derive(Debug, Clone)]
-pub struct CovAccumulator {
-    /// Unscaled accumulator `Σ x_t·x_t^H`.
-    acc: CMat,
-    count: usize,
-}
-
-impl CovAccumulator {
-    /// A zeroed accumulator for `m`-element snapshots.
-    pub fn new(m: usize) -> Self {
-        Self {
-            acc: CMat::zeros(m, m),
-            count: 0,
-        }
-    }
-
-    /// Re-zero for `m`-element snapshots, reusing the allocation.
-    pub fn reset(&mut self, m: usize) {
-        self.acc.reset_zero(m, m);
-        self.count = 0;
-    }
-
-    /// Snapshot dimension `m`.
-    pub fn dim(&self) -> usize {
-        self.acc.rows()
-    }
-
-    /// Number of snapshots accumulated so far.
-    pub fn count(&self) -> usize {
-        self.count
-    }
-
-    /// Rank-1 update with one snapshot vector. Panics on a dimension
-    /// mismatch.
-    pub fn push(&mut self, snapshot: &[C64]) {
-        let m = self.acc.rows();
-        assert_eq!(snapshot.len(), m, "CovAccumulator: snapshot dimension");
-        for (i, &xi) in snapshot.iter().enumerate() {
-            for (j, &xj) in snapshot.iter().enumerate() {
-                self.acc[(i, j)] += xi * xj.conj();
-            }
-        }
-        self.count += 1;
-    }
-
-    /// Rank-1 update with column `t` of a snapshot matrix — no
-    /// intermediate column vector is built.
-    pub fn push_col(&mut self, x: &Snapshots, t: usize) {
-        let m = self.acc.rows();
-        assert_eq!(x.rows(), m, "CovAccumulator: snapshot dimension");
-        for i in 0..m {
-            let xi = x[(i, t)];
-            for j in 0..m {
-                self.acc[(i, j)] += xi * x[(j, t)].conj();
-            }
-        }
-        self.count += 1;
-    }
-
-    /// The covariance of everything accumulated, written into `out`
-    /// (allocation reused). Panics if no snapshots were pushed.
-    pub fn covariance_into(&self, out: &mut CMat) {
-        assert!(self.count > 0, "sample_covariance: no snapshots");
-        out.copy_from(&self.acc);
-        out.scale_mut(1.0 / self.count as f64);
-    }
-}
-
 /// The exchange (anti-identity) matrix `J` of size `n`.
 pub fn exchange_matrix(n: usize) -> CMat {
     CMat::from_fn(n, n, |i, j| {
@@ -439,35 +350,6 @@ mod tests {
     }
 
     #[test]
-    fn accumulator_matches_batch_covariance_bitwise() {
-        let m = 6;
-        let x = CMat::from_fn(m, 77, |i, t| {
-            c64(((i + 5 * t) as f64).cos(), ((2 * i + t) as f64).sin())
-        });
-        let mut acc = CovAccumulator::new(m);
-        assert_eq!(acc.dim(), m);
-        for t in 0..x.cols() {
-            if t % 2 == 0 {
-                acc.push_col(&x, t);
-            } else {
-                acc.push(&x.col(t));
-            }
-        }
-        assert_eq!(acc.count(), 77);
-        let mut r = CMat::default();
-        acc.covariance_into(&mut r);
-        assert_eq!(r, sample_covariance(&x));
-        // Reset and reuse at another size.
-        acc.reset(3);
-        assert_eq!(acc.count(), 0);
-        acc.push(&[c64(1.0, 0.0), c64(0.0, 1.0), c64(2.0, -1.0)]);
-        let mut r3 = CMat::default();
-        acc.covariance_into(&mut r3);
-        assert_eq!(r3.rows(), 3);
-        assert!((r3[(0, 0)].re - 1.0).abs() < 1e-15);
-    }
-
-    #[test]
     fn strided_covariance_matches_decimated_matrix() {
         let m = 5;
         let x = CMat::from_fn(m, 103, |i, t| {
@@ -480,14 +362,6 @@ mod tests {
             sample_covariance_strided_into(&x, stride, &mut fused);
             assert_eq!(fused, sample_covariance(&decim), "stride {}", stride);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "no snapshots")]
-    fn accumulator_rejects_empty_finalize() {
-        let acc = CovAccumulator::new(4);
-        let mut out = CMat::default();
-        acc.covariance_into(&mut out);
     }
 
     #[test]

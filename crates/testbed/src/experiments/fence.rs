@@ -12,7 +12,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use sa_channel::geom::{pt, Point};
 use sa_channel::pattern::TxAntenna;
-use secureangle::fence::{FenceConfig, FenceDecision, VirtualFence};
+use secureangle::fence::{FenceDecision, VirtualFence};
 use secureangle::localize::BearingObservation;
 use serde::Serialize;
 
@@ -71,7 +71,7 @@ pub fn outside_positions() -> Vec<(String, Point)> {
 pub fn run(seed: u64, packets: usize) -> FenceResult {
     let tb = Testbed::multi_ap(seed);
     let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xfe2ce);
-    let fence = VirtualFence::new(tb.office.fence_polygon(), FenceConfig::default());
+    let fence = VirtualFence::new(tb.office.fence_polygon());
 
     let mut trials = Vec::new();
 

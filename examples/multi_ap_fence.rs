@@ -54,7 +54,7 @@ use sa_deploy::{
     ApSkew, DeployConfig, Deployment, HealthConfig, LinkConfig, TelemetryConfig, Transmission,
 };
 use sa_testbed::Testbed;
-use secureangle::fence::{FenceConfig, VirtualFence};
+use secureangle::fence::VirtualFence;
 
 fn arg(name: &str) -> Option<String> {
     let args: Vec<String> = std::env::args().collect();
@@ -104,7 +104,7 @@ fn main() {
 
     let tb = Testbed::deployment(n_aps, seed);
     let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xfe9ce);
-    let fence = VirtualFence::new(tb.office.fence_polygon(), FenceConfig::default());
+    let fence = VirtualFence::new(tb.office.fence_polygon());
     let clients: Vec<usize> = (1..=20).collect();
     let truth: Vec<_> = clients
         .iter()

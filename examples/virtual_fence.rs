@@ -13,7 +13,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use sa_testbed::experiments::fence::outside_positions;
 use sa_testbed::Testbed;
-use secureangle::fence::{FenceConfig, VirtualFence};
+use secureangle::fence::VirtualFence;
 use secureangle::localize::BearingObservation;
 use secureangle_suite::prelude::*;
 
@@ -27,7 +27,7 @@ fn main() {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
 
     let tb = Testbed::multi_ap(seed);
-    let fence = VirtualFence::new(tb.office.fence_polygon(), FenceConfig::default());
+    let fence = VirtualFence::new(tb.office.fence_polygon());
     println!(
         "virtual fence: the building interior (0.75 m wall margin); {} cooperating APs\n",
         tb.nodes.len()

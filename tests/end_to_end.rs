@@ -133,11 +133,11 @@ fn full_spoofing_scenario_across_all_gear() {
 
 #[test]
 fn fence_admits_insiders_rejects_outsiders() {
-    use secureangle::fence::{FenceConfig, VirtualFence};
+    use secureangle::fence::VirtualFence;
     use secureangle::localize::BearingObservation;
     let tb = Testbed::multi_ap(107);
     let mut rng = ChaCha8Rng::seed_from_u64(108);
-    let fence = VirtualFence::new(tb.office.fence_polygon(), FenceConfig::default());
+    let fence = VirtualFence::new(tb.office.fence_polygon());
 
     let bearings_for = |pos, power: f64, rng: &mut ChaCha8Rng| -> Vec<BearingObservation> {
         let frame = tb.client_frame(1, 1);
@@ -216,7 +216,7 @@ fn facade_prelude_compiles_and_reaches_every_layer() {
     let _ = secureangle_suite::array::Array::paper_octagon();
     let _ = secureangle_suite::channel::FloorPlan::new();
     let _ = secureangle_suite::aoa::SourceCount::Mdl;
-    let _ = secureangle_suite::core::MatchConfig::default();
+    let _ = secureangle_suite::core::SpoofDetector::new();
     let office = secureangle_suite::testbed::Office::paper_figure4();
     assert_eq!(office.clients.len(), 20);
 }
