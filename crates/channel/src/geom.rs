@@ -7,7 +7,6 @@
 
 /// A point (or vector) in the plan, meters.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Point {
     /// x coordinate, meters.
     pub x: f64,
@@ -50,7 +49,6 @@ impl Point {
 
 /// A line segment between two points.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Segment {
     /// First endpoint.
     pub a: Point,
@@ -142,7 +140,6 @@ impl Segment {
 /// A closed axis-aligned rectangle, used for fence regions and obstacle
 /// outlines.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Rect {
     /// Lower-left corner.
     pub min: Point,

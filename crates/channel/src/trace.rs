@@ -22,7 +22,6 @@ use sa_linalg::complex::C64;
 
 /// Classification of a propagation path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum PathKind {
     /// Direct (possibly through walls) transmitter→receiver path.
     Direct,

@@ -261,6 +261,8 @@ pub enum ObserveError {
     NoPacket,
     /// Buffer shape does not match the array.
     BadBuffer,
+    /// The packet's sample window holds a NaN or infinite sample.
+    NonFinite,
 }
 
 impl std::fmt::Display for ObserveError {
@@ -268,6 +270,7 @@ impl std::fmt::Display for ObserveError {
         match self {
             ObserveError::NoPacket => write!(f, "no packet in capture"),
             ObserveError::BadBuffer => write!(f, "capture shape does not match array"),
+            ObserveError::NonFinite => write!(f, "non-finite sample in packet window"),
         }
     }
 }
@@ -502,17 +505,6 @@ impl AccessPoint {
             .collect()
     }
 
-    /// Process every packet in a long capture (the paper's WARP buffers
-    /// 0.4 ms — 8000 samples — which can hold several frames). Returns
-    /// observations in arrival order; scanning resumes after each
-    /// packet's extent. Internally stages every detected packet into one
-    /// [`PacketBatch`], so the AoA setup is amortised across the buffer.
-    pub fn observe_all(&self, buffer: &CMat) -> Vec<Observation> {
-        let mut batch = self.batch();
-        batch.push_all(buffer);
-        batch.process()
-    }
-
     /// Train the spoof profile for a client from an authenticated
     /// observation (the paper's "initial training stage").
     pub fn train_client(&mut self, mac: MacAddr, obs: &Observation) {
@@ -573,8 +565,7 @@ struct StagedPacket {
 /// staged packet. [`AccessPoint::observe`] is a batch of one, so it
 /// pays that setup per capture; observations are identical either way.
 ///
-/// Typical flow: [`AccessPoint::batch`] → [`PacketBatch::push`] (or
-/// [`PacketBatch::push_all`] for a long multi-packet capture) →
+/// Typical flow: [`AccessPoint::batch`] → [`PacketBatch::push`] →
 /// [`PacketBatch::process`]. The batch may then be refilled; the engine
 /// carries over.
 #[derive(Debug)]
@@ -593,7 +584,9 @@ pub struct PacketBatch<'ap> {
 impl PacketBatch<'_> {
     /// Stage the first packet detected in a single-packet capture
     /// (rows = antennas). Runs detection + decode now; the
-    /// signal-processing stages run in [`PacketBatch::process`].
+    /// signal-processing stages run in [`PacketBatch::process`]. A
+    /// window holding a NaN or infinite sample is refused with
+    /// [`ObserveError::NonFinite`].
     pub fn push(&mut self, buffer: &CMat) -> Result<(), ObserveError> {
         if buffer.rows() != self.ap.cfg.array.len() || buffer.cols() == 0 {
             return Err(ObserveError::BadBuffer);
@@ -605,51 +598,12 @@ impl PacketBatch<'_> {
             pkt_len,
         } = decode_reference(buffer, self.ap.cfg.modulation)?;
         let window = self.ap.extract_window(buffer, start, pkt_len);
-        self.staged.push(StagedPacket {
+        self.stage(StagedPacket {
             window,
             frame,
             start,
             cfo,
-        });
-        Ok(())
-    }
-
-    /// Scan a long capture and stage **every** detected packet (the
-    /// paper's WARP buffers hold several frames back-to-back). Returns
-    /// the number of packets staged. Scanning resumes after each
-    /// packet's extent; starts are reported in the capture's own
-    /// coordinates.
-    pub fn push_all(&mut self, buffer: &CMat) -> usize {
-        if buffer.rows() != self.ap.cfg.array.len() {
-            return 0;
-        }
-        let mut staged = 0usize;
-        let mut cursor = 0usize;
-        while cursor + 2 * sa_phy::preamble::SC_HALF_LEN < buffer.cols() {
-            let slice = CMat::from_fn(buffer.rows(), buffer.cols() - cursor, |m, t| {
-                buffer[(m, cursor + t)]
-            });
-            let Ok(DecodedPacket {
-                frame,
-                start,
-                cfo,
-                pkt_len,
-            }) = decode_reference(&slice, self.ap.cfg.modulation)
-            else {
-                break;
-            };
-            let window = self.ap.extract_window(&slice, start, pkt_len);
-            let advance = start + window.cols().max(1);
-            self.staged.push(StagedPacket {
-                window,
-                frame,
-                start: cursor + start,
-                cfo,
-            });
-            staged += 1;
-            cursor += advance;
-        }
-        staged
+        })
     }
 
     /// Stage a packet whose stage-1 result is already known — the
@@ -669,7 +623,8 @@ impl PacketBatch<'_> {
     /// cancels in `x·xᴴ` regardless of stride, so bearings and
     /// signatures are those of the capped covariance; `rss_db` becomes
     /// a subsample estimate and `extent` reports the staged snapshot
-    /// count.)
+    /// count.) As with [`PacketBatch::push`], a staged window holding a
+    /// NaN or infinite sample is refused with [`ObserveError::NonFinite`].
     pub fn push_predecoded(
         &mut self,
         buffer: &CMat,
@@ -691,12 +646,22 @@ impl PacketBatch<'_> {
         } else {
             self.ap.extract_window(buffer, start, decoded.pkt_len)
         };
-        self.staged.push(StagedPacket {
+        self.stage(StagedPacket {
             window,
             frame: decoded.frame.clone(),
             start,
             cfo: decoded.cfo,
-        });
+        })
+    }
+
+    /// Stage one extracted packet, refusing a window with a non-finite
+    /// sample: one NaN or ∞ poisons the covariance and every estimate
+    /// built on it.
+    fn stage(&mut self, packet: StagedPacket) -> Result<(), ObserveError> {
+        if !packet.window.data().iter().all(|z| z.is_finite()) {
+            return Err(ObserveError::NonFinite);
+        }
+        self.staged.push(packet);
         Ok(())
     }
 
@@ -1066,61 +1031,6 @@ mod tests {
             ap.observe(&CMat::zeros(3, 100)).unwrap_err(),
             ObserveError::BadBuffer
         );
-    }
-
-    #[test]
-    fn observe_all_finds_every_packet_in_a_long_capture() {
-        // Two clients transmit back-to-back inside one WARP-sized
-        // buffer; observe_all must recover both frames with their own
-        // bearings.
-        let plan = room();
-        let mut ap = make_ap();
-        let pos_a = pt(4.0, 3.0);
-        let pos_b = pt(-3.0, 5.0);
-        let rx_pow = rx_power_at(&ap, &plan, pos_a);
-        let fe = quiet_front_end(&ap, rx_pow, 25.0, 70);
-        let mut rng = ChaCha8Rng::seed_from_u64(71);
-        ap.calibrate(&fe, &mut rng);
-
-        let make_capture = |ap: &AccessPoint, pos, mac_idx: u32, seed| {
-            let frame = Frame::data(
-                MacAddr::local_from_index(mac_idx),
-                MacAddr::BROADCAST,
-                MacAddr::local_from_index(0),
-                1,
-                b"pkt",
-            );
-            capture(ap, &plan, pos, &frame, &fe, seed)
-        };
-        let cap_a = make_capture(&ap, pos_a, 1, 72);
-        let cap_b = make_capture(&ap, pos_b, 2, 73);
-
-        // Concatenate the two captures into one long buffer.
-        let total = cap_a.cols() + cap_b.cols();
-        let buffer = CMat::from_fn(8, total, |m, t| {
-            if t < cap_a.cols() {
-                cap_a[(m, t)]
-            } else {
-                cap_b[(m, t - cap_a.cols())]
-            }
-        });
-
-        let all = ap.observe_all(&buffer);
-        assert_eq!(all.len(), 2, "found {} packets", all.len());
-        assert_eq!(
-            all[0].frame.as_ref().unwrap().src,
-            MacAddr::local_from_index(1)
-        );
-        assert_eq!(
-            all[1].frame.as_ref().unwrap().src,
-            MacAddr::local_from_index(2)
-        );
-        assert!(all[1].start > all[0].start);
-        // Each packet got its own bearing.
-        let t_a = ap.config().position.azimuth_to(pos_a).to_degrees();
-        let t_b = ap.config().position.azimuth_to(pos_b).to_degrees();
-        assert!(angle_diff_deg(all[0].bearing_deg, t_a, true) < 6.0);
-        assert!(angle_diff_deg(all[1].bearing_deg, t_b, true) < 6.0);
     }
 
     #[test]

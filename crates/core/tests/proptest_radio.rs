@@ -1,7 +1,8 @@
 //! Property-based tests for the AP's radio boundary: whatever capture
 //! arrives — empty, the wrong shape, or laced with NaN/∞ samples —
 //! `decode_reference` and `AccessPoint::observe` return a typed error or
-//! a value, never a panic.
+//! a value, never a panic. A NaN/∞ sample inside a decoded packet's
+//! window is always the typed `NonFinite` error.
 
 use proptest::prelude::*;
 use sa_channel::geom::pt;
@@ -101,5 +102,25 @@ proptest! {
             prop_assert!(decoded.start < buf.cols());
         }
         let _ = ap.observe(&buf);
+    }
+
+    #[test]
+    fn non_finite_sample_inside_the_packet_window_is_refused(
+        offset in 0usize..100,
+        phase_step in -3.0f64..3.0,
+        body in proptest::collection::vec(any::<u8>(), 0..24),
+        row in 1usize..8,
+        at in 0usize..10_000,
+        z in non_finite(),
+    ) {
+        let ap = prototype_ap();
+        let mut buf = clean_capture(ap.config().array.len(), offset, phase_step, &body);
+        let decoded = decode_reference(&buf, Modulation::Qpsk).expect("clean reference chain");
+        prop_assert!(decoded.pkt_len > 0);
+        // One bad sample on a non-reference row inside [start, start +
+        // pkt_len): stage 1 reads row 0 only and still decodes, so only
+        // the staged window can catch it.
+        buf[(row, decoded.start + at % decoded.pkt_len)] = z;
+        prop_assert_eq!(ap.observe(&buf).unwrap_err(), ObserveError::NonFinite);
     }
 }

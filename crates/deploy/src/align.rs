@@ -26,9 +26,7 @@
 //!    deviates beyond the configured tolerance is *rejected* — the
 //!    window closes (the FIFO marker is trusted), but the bearings
 //!    stamped with the wandering clock are kept out of fusion rather
-//!    than being fused into the wrong window. The sequence-label
-//!    channel (packet counters never drift) doubles as a cross-check
-//!    that keeps marker-gap detection honest under drift.
+//!    than being fused into the wrong window.
 //!
 //! The aligner is deliberately pure (no channels, no threads) so the
 //! alignment policy itself is property-testable: see
@@ -59,10 +57,6 @@ struct ApAlignState {
     /// Learned drift rate, windows of extra label skew per elapsed
     /// window, refined from every accepted report after the anchor.
     drift_est: f64,
-    /// Learned constant sequence-label offset (`local − global`).
-    /// Sequence counters do not drift, so this is the cross-check that
-    /// distinguishes a marker gap from a clock jump.
-    seq_offset: Option<i64>,
 }
 
 /// The result of aligning one worker report.
@@ -148,18 +142,17 @@ impl SkewAligner {
         self.aps[ap].dispatched.clear();
     }
 
-    /// Reset AP `ap`'s learned clock model (epoch offset, drift rate,
-    /// sequence offset) along with its outstanding dispatches. A
-    /// re-joining AP ([`crate::Deployment::rejoin_ap`]) comes back with
-    /// a fresh oscillator epoch, so the old model must be relearned
-    /// from its first new report instead of rejecting everything.
+    /// Reset AP `ap`'s learned clock model (epoch offset and drift
+    /// rate) along with its outstanding dispatches. A re-joining AP
+    /// ([`crate::Deployment::rejoin_ap`]) comes back with a fresh
+    /// oscillator epoch, so the old model must be relearned from its
+    /// first new report instead of rejecting everything.
     pub fn revive_ap(&mut self, ap: usize) {
         let state = &mut self.aps[ap];
         state.dispatched.clear();
         state.window_offset = None;
         state.anchor = 0;
         state.drift_est = 0.0;
-        state.seq_offset = None;
     }
 
     /// Align one report from AP `ap`: `window_label` is the worker's
@@ -173,128 +166,39 @@ impl SkewAligner {
         window_label: i64,
         seq_base: Option<u64>,
     ) -> Option<Aligned> {
-        let (skipped, aligned) = self.align_gaps(ap, window_label, seq_base, 0);
-        debug_assert!(skipped.is_empty(), "gap detection is off at max_gap 0");
-        aligned
-    }
-
-    /// [`SkewAligner::align`] with marker-gap detection
-    /// ([`crate::DeployConfig::marker_timeout_windows`]): when the
-    /// label aligns `d` windows *ahead* of the AP's FIFO front with
-    /// `1 ≤ d ≤ max_gap` — and at least `d + 1` windows are outstanding,
-    /// so the label provably names a dispatched window — the `d`
-    /// skipped windows' markers are declared lost. Their global window
-    /// numbers are returned for the coordinator to close without this
-    /// AP, and the report aligns to the `(d+1)`-th record with zero
-    /// deviation. `max_gap = 0` disables detection (every deviation is
-    /// clock skew), which is exactly [`SkewAligner::align`].
-    ///
-    /// Gap detection is drift-aware: labels are compared against the
-    /// learned clock model (constant offset *plus* the drift rate
-    /// refined from accepted reports), and a candidate gap is
-    /// cross-checked on the sequence-label channel — packet counters
-    /// never drift, so when both the report and the claimed dispatch
-    /// record carry sequence labels and the constant sequence offset is
-    /// already learned, a mismatch unmasks the jump as clock skew and
-    /// nothing is skipped.
-    pub fn align_gaps(
-        &mut self,
-        ap: usize,
-        window_label: i64,
-        seq_base: Option<u64>,
-        max_gap: u64,
-    ) -> (Vec<u64>, Option<Aligned>) {
         let tolerance = self.tolerance;
         let state = &mut self.aps[ap];
-        let Some(front) = state.dispatched.front().copied() else {
-            return (Vec::new(), None);
-        };
+        let record = state.dispatched.pop_front()?;
         let offset = match state.window_offset {
             Some(o) => o,
             None => {
-                let o = window_label - front.global as i64;
+                let o = window_label - record.global as i64;
                 state.window_offset = Some(o);
-                state.anchor = front.global;
+                state.anchor = record.global;
                 o
             }
         };
-        let (anchor, drift_est) = (state.anchor, state.drift_est);
-        let predict = |global: u64| -> i64 {
-            let elapsed = global as i64 - anchor as i64;
-            global as i64 + offset + (drift_est * elapsed as f64).round() as i64
-        };
-        let mut skipped = Vec::new();
-        if max_gap > 0 {
-            let ahead = window_label - predict(front.global);
-            if ahead >= 1 && ahead as u64 <= max_gap && state.dispatched.len() > ahead as usize {
-                // The label claims the record `ahead` deep in the FIFO.
-                // Confirm on the sequence channel before declaring the
-                // intervening markers lost.
-                let candidate = state.dispatched[ahead as usize];
-                let confirmed = match (seq_base, candidate.first_seq, state.seq_offset) {
-                    (Some(local), Some(global), Some(learned)) => {
-                        local as i64 - global as i64 == learned
-                    }
-                    _ => true,
-                };
-                if confirmed {
-                    for _ in 0..ahead {
-                        skipped.push(
-                            state
-                                .dispatched
-                                .pop_front()
-                                .expect("guarded by len() above")
-                                .global,
-                        );
-                    }
-                }
-            }
-        }
-        let Some(record) = state.dispatched.pop_front() else {
-            return (skipped, None);
-        };
-        let deviation = window_label - predict(record.global);
+        let elapsed = record.global as i64 - state.anchor as i64;
+        let deviation = window_label
+            - (record.global as i64 + offset + (state.drift_est * elapsed as f64).round() as i64);
         let seq_delta = match (seq_base, record.first_seq) {
             (Some(local), Some(global)) => local as i64 - global as i64,
             _ => 0,
         };
         let accepted = deviation.unsigned_abs() <= tolerance;
-        if accepted {
-            // Refine the clock model from trusted reports only: the
-            // constant sequence offset on first sight, the drift rate
-            // from the raw (offset-relative) deviation over elapsed
-            // windows since the anchor.
-            if let (Some(local), Some(global)) = (seq_base, record.first_seq) {
-                state.seq_offset.get_or_insert(local as i64 - global as i64);
-            }
-            let elapsed = record.global as i64 - anchor as i64;
-            if elapsed > 0 {
-                state.drift_est =
-                    (window_label - (record.global as i64 + offset)) as f64 / elapsed as f64;
-            }
+        if accepted && elapsed > 0 {
+            // Refine the drift rate from trusted reports only: the raw
+            // (offset-relative) deviation over elapsed windows since
+            // the anchor.
+            state.drift_est =
+                (window_label - (record.global as i64 + offset)) as f64 / elapsed as f64;
         }
-        (
-            skipped,
-            Some(Aligned {
-                global: record.global,
-                accepted,
-                deviation,
-                seq_delta,
-            }),
-        )
-    }
-
-    /// Declare every outstanding dispatch for AP `ap` marker-lost and
-    /// return their global window numbers. The coordinator calls this
-    /// when the worker's final flush arrives (the worker exited, so no
-    /// later marker will ever reveal a tail gap); on a healthy run the
-    /// queue is already empty and this is a no-op.
-    pub fn take_outstanding(&mut self, ap: usize) -> Vec<u64> {
-        self.aps[ap]
-            .dispatched
-            .drain(..)
-            .map(|r| r.global)
-            .collect()
+        Some(Aligned {
+            global: record.global,
+            accepted,
+            deviation,
+            seq_delta,
+        })
     }
 }
 
@@ -376,51 +280,43 @@ mod tests {
     }
 
     #[test]
-    fn marker_gap_within_tolerance_skips_and_aligns() {
+    fn label_jump_within_tolerance_is_skew_on_the_fifo_front() {
         let mut a = SkewAligner::new(2);
         let ap = a.add_ap();
-        for w in 0..4 {
-            a.note_dispatch(ap, w, Some(w * 10));
-        }
-        // Window 0's marker arrives (offset learned as 0, sequence
-        // offset learned as 3), then windows 1 and 2's markers are
-        // lost: the next marker is labelled 3 and its sequence label
-        // confirms the gap (33 − 30 matches the learned offset).
-        let (skipped, r) = a.align_gaps(ap, 0, Some(3), 2);
-        assert!(skipped.is_empty());
-        assert_eq!(r.unwrap().global, 0);
-        let (skipped, r) = a.align_gaps(ap, 3, Some(33), 2);
-        assert_eq!(skipped, vec![1, 2], "both gapped windows close");
-        let r = r.unwrap();
-        assert_eq!(r.global, 3);
+        a.note_dispatch(ap, 0, None);
+        a.note_dispatch(ap, 1, None);
+        assert!(a.align(ap, 0, None).unwrap().accepted);
+        // A label 2 windows ahead, with only window 1 outstanding:
+        // markers are reliable and FIFO, so the report belongs to the
+        // queue front, whatever its label claims. The jump is clock
+        // skew, inside the ±2 tolerance.
+        let r = a.align(ap, 3, None).unwrap();
+        assert_eq!(r.global, 1);
+        assert_eq!(r.deviation, 2);
         assert!(r.accepted);
-        assert_eq!(r.deviation, 0);
-        assert_eq!(r.seq_delta, 3);
         assert_eq!(a.pending(ap), 0);
     }
 
     #[test]
-    fn seq_channel_contradiction_vetoes_a_gap() {
+    fn mismatched_seq_label_does_not_move_the_fifo_front() {
         let mut a = SkewAligner::new(3);
         let ap = a.add_ap();
         for w in 0..4 {
             a.note_dispatch(ap, w, Some(w * 10));
         }
-        // Learn offset 0 and sequence offset 5.
-        let (s, r) = a.align_gaps(ap, 0, Some(5), 2);
-        assert!(s.is_empty());
-        assert!(r.unwrap().accepted);
-        // A label 2 ahead whose sequence label does NOT match the
-        // learned sequence offset for the claimed record: sequence
-        // counters never drift, so the jump is clock skew — nothing is
-        // skipped and the report aligns to the FIFO front with the
-        // full deviation.
-        let (s, r) = a.align_gaps(ap, 3, Some(99), 2);
-        assert!(s.is_empty());
-        let r = r.unwrap();
+        let r = a.align(ap, 0, Some(5)).unwrap();
+        assert!(r.accepted);
+        assert_eq!(r.seq_delta, 5);
+        // A label 2 ahead whose sequence label contradicts the learned
+        // sequence offset: the sequence label is only reported, never
+        // used for attribution, so the report closes the FIFO front
+        // with the full clock deviation.
+        let r = a.align(ap, 3, Some(99)).unwrap();
         assert_eq!(r.global, 1);
         assert_eq!(r.deviation, 2);
-        assert!(r.accepted, "within the ±3 tolerance: skew, not a gap");
+        assert!(r.accepted, "within the ±3 tolerance: skew");
+        assert_eq!(r.seq_delta, 89);
+        assert_eq!(a.pending(ap), 2);
     }
 
     #[test]
@@ -442,53 +338,20 @@ mod tests {
     }
 
     #[test]
-    fn gap_beyond_tolerance_falls_back_to_skew_rejection() {
+    fn label_jump_beyond_tolerance_is_rejected_on_the_fifo_front() {
         let mut a = SkewAligner::new(1);
         let ap = a.add_ap();
         for w in 0..5 {
             a.note_dispatch(ap, w, None);
         }
-        let (_, r) = a.align_gaps(ap, 0, None, 1);
-        assert!(r.unwrap().accepted);
-        // A 3-window jump exceeds max_gap 1: treated as clock skew on
-        // the FIFO front (window 1), which also exceeds the ±1
-        // alignment tolerance → rejected, nothing skipped.
-        let (skipped, r) = a.align_gaps(ap, 4, None, 1);
-        assert!(skipped.is_empty());
-        let r = r.unwrap();
+        assert!(a.align(ap, 0, None).unwrap().accepted);
+        // A 3-window jump on the FIFO front (window 1) exceeds the ±1
+        // tolerance: the report still closes window 1, rejected.
+        let r = a.align(ap, 4, None).unwrap();
         assert_eq!(r.global, 1);
         assert!(!r.accepted);
         assert_eq!(r.deviation, 3);
-    }
-
-    #[test]
-    fn gap_detection_never_outruns_the_fifo() {
-        let mut a = SkewAligner::new(2);
-        let ap = a.add_ap();
-        a.note_dispatch(ap, 0, None);
-        a.note_dispatch(ap, 1, None);
-        let (_, r) = a.align_gaps(ap, 0, None, 3);
-        assert!(r.unwrap().accepted);
-        // Label claims 2 windows ahead but only window 1 is
-        // outstanding: a gap would pop past the queue, so it is treated
-        // as skew instead.
-        let (skipped, r) = a.align_gaps(ap, 3, None, 3);
-        assert!(skipped.is_empty());
-        let r = r.unwrap();
-        assert_eq!(r.global, 1);
-        assert_eq!(r.deviation, 2);
-    }
-
-    #[test]
-    fn take_outstanding_drains_the_queue() {
-        let mut a = SkewAligner::new(2);
-        let ap = a.add_ap();
-        for w in 3..6 {
-            a.note_dispatch(ap, w, None);
-        }
-        assert_eq!(a.take_outstanding(ap), vec![3, 4, 5]);
-        assert_eq!(a.pending(ap), 0);
-        assert!(a.take_outstanding(ap).is_empty());
+        assert_eq!(a.pending(ap), 3);
     }
 
     #[test]

@@ -165,47 +165,6 @@ pub struct DeployConfig {
     /// failure counting and every downstream byte are identical at any
     /// `N`. `0` is treated as `1`.
     pub decode_shards: usize,
-    /// Probability that an AP's end-of-window *marker* is lost in `[0,
-    /// 1]`. The marker rides the control path, which earlier releases
-    /// modeled as perfectly reliable even when the bulk report link was
-    /// lossy ([`LinkConfig::loss_rate`]); this knob drops the marker
-    /// itself, so the coordinator never hears that the AP finished the
-    /// window. Requires `marker_timeout_windows ≥ 1` (enforced at
-    /// deployment construction): without gap detection a lost marker
-    /// desynchronises the per-AP FIFO and stalls the window forever.
-    /// Even with it, a lost marker is only revealed by a *later*
-    /// window's marker or by the shutdown flush, so collect each window
-    /// while later ones are in flight (submit ahead with
-    /// [`crate::Deployment::submit_window`]) and let
-    /// [`crate::Deployment::finish`] close the tail; a window collected
-    /// with nothing submitted after it — as in
-    /// [`crate::Deployment::run_window`] and
-    /// [`crate::Deployment::run_stream`] — can wait forever. Draws come
-    /// from a dedicated per-AP seeded stream (independent of the
-    /// report-loss stream, so enabling one never shifts the other's
-    /// draws).
-    pub marker_loss_rate: f64,
-    /// Marker gap-detection close policy: when a marker from an AP
-    /// aligns `d` windows *ahead* of the AP's expected FIFO position
-    /// with `1 ≤ d ≤ marker_timeout_windows`, the `d` skipped windows'
-    /// markers are declared lost — those windows close without the AP
-    /// (counted in [`crate::DeployMetrics::markers_lost`] and granted
-    /// the same consensus slack as lost reports) instead of stalling.
-    /// `0` (the default) disables gap detection: every positive
-    /// deviation is treated as clock skew, the pre-fleet behavior
-    /// exactly. Safe under *drifting* clocks too: the aligner learns
-    /// each AP's drift rate from its accepted markers and confirms
-    /// candidate gaps against the independent sequence-label channel,
-    /// so a drifting label is no longer mistaken for a gap (see
-    /// [`crate::align::SkewAligner`]). Detection needs a *later* marker
-    /// from the gapped AP, within `marker_timeout_windows` windows of
-    /// the gap: collect a window only while the windows after it are
-    /// already submitted — a synchronous submit/collect loop never
-    /// sends the revealing later marker. Nothing but shutdown reveals a
-    /// gap at the tail of the run: leave the last windows uncollected
-    /// and [`crate::Deployment::finish`] closes them with the workers'
-    /// final flush.
-    pub marker_timeout_windows: u64,
     /// Scripted fault injection ([`crate::faults::FaultPlan`]). `None`
     /// (the default) injects nothing and is byte-transparent: the fault
     /// layer is zero-cost-off, pinned by `tests/proptest_chaos.rs`.
@@ -238,8 +197,6 @@ impl Default for DeployConfig {
             link: LinkConfig::default(),
             weight_bearings_by_confidence: false,
             decode_shards: 1,
-            marker_loss_rate: 0.0,
-            marker_timeout_windows: 0,
             faults: None,
             health: HealthConfig::default(),
             telemetry: TelemetryConfig::disabled(),
@@ -309,12 +266,9 @@ mod tests {
         assert!(cfg.link.retry_limit >= 1);
         assert_eq!(cfg.max_skew_windows, 2);
         assert!(!cfg.weight_bearings_by_confidence);
-        // Fleet knobs off by default: inline serial decode, reliable
-        // markers, no gap detection — byte-compatible
-        // with the pre-fleet coordinator.
+        // Fleet knob off by default: inline serial decode —
+        // byte-compatible with the pre-fleet coordinator.
         assert_eq!(cfg.decode_shards, 1);
-        assert_eq!(cfg.marker_loss_rate, 0.0);
-        assert_eq!(cfg.marker_timeout_windows, 0);
         // Telemetry off by default: the report's snapshot stays empty
         // and Debug-rendered reports are byte-stable across releases.
         assert!(!cfg.telemetry.enabled);

@@ -2,23 +2,20 @@
 //! fanned out over scoped threads, skew-tolerant window scheduling, AP
 //! churn, and the fusion drain.
 //!
-//! Windows close on end-of-window markers (never wall clocks), but the
-//! markers are no longer assumed perfect: workers stamp them with their
-//! own skewed clocks (aligned back by [`crate::align::SkewAligner`]),
-//! their payloads may be lost on the lossy report link (the window
-//! closes anyway, with that AP's bearings missing), the markers
-//! *themselves* may be lost (a later marker's gap — or the worker's
-//! final flush — reveals it, see
-//! [`crate::DeployConfig::marker_timeout_windows`]), and workers may
-//! join, leave, or die mid-run (a window never waits on an AP that is
-//! no longer live). All of it is deterministic for a seeded run, at
-//! any decode shard count.
+//! Windows close on end-of-window markers (never wall clocks). Markers
+//! travel over the in-process channel and always arrive, but workers
+//! stamp them with their own skewed clocks (aligned back by
+//! [`crate::align::SkewAligner`]), their payloads may be lost on the
+//! lossy report link (the window closes anyway, with that AP's
+//! bearings missing), and workers may join, leave, or die mid-run (a
+//! window never waits on an AP that is no longer live). All of it is
+//! deterministic for a seeded run, at any decode shard count.
 
 use crate::align::SkewAligner;
 use crate::config::{ApSkew, DeployConfig, DeployError};
 use crate::faults::payload_checksum;
 use crate::fusion::Fusion;
-use crate::health::{ApWindowEvidence, FleetHealth, HealthAction};
+use crate::health::{ApWindowEvidence, FleetHealth, HealthAction, BEARING_ERR_WARN_DEG};
 use crate::report::{ApStats, DeployMetrics, DeploymentReport, FusedWindow};
 use crate::telemetry::{DeployTelemetry, WorkerTap};
 use crate::worker::{run_worker, WindowDone, WorkerCfg, WorkerMsg, WorkerPacket};
@@ -107,14 +104,11 @@ struct WindowBin {
     packets: Vec<crate::report::ApPacket>,
     end_stats: Vec<(usize, ApStats)>,
     /// The window's degradation, by AP: which APs lost their payload,
-    /// were skew-rejected, lost their end-of-window marker, failed the
-    /// wire checksum, or arrived stalled. Sets of AP ids (arrival
-    /// order; consumers treat them as sets). A marker-lost AP (revealed
-    /// by a later marker's gap, or by the worker's final flush) counts
-    /// as reported — the window closes — but contributed nothing.
+    /// were skew-rejected, failed the wire checksum, or arrived
+    /// stalled. Sets of AP ids (arrival order; consumers treat them as
+    /// sets).
     lost_ap_ids: Vec<usize>,
     skew_ap_ids: Vec<usize>,
-    marker_lost_ap_ids: Vec<usize>,
     corrupt_ap_ids: Vec<usize>,
     stalled_ap_ids: Vec<usize>,
     /// Packets withheld from fusion because their AP was quarantined
@@ -213,11 +207,6 @@ impl Deployment {
         assert!(
             aps.iter().all(|ap| ap.config().modulation == modulation),
             "deployment APs must share one modulation"
-        );
-        assert!(
-            cfg.marker_loss_rate == 0.0 || cfg.marker_timeout_windows >= 1,
-            "marker_loss_rate > 0 requires marker_timeout_windows >= 1: without \
-             gap detection a lost end-of-window marker stalls its window forever"
         );
         let ap_positions: Vec<Point> = aps.iter().map(|ap| ap.config().position).collect();
         let n_aps = aps.len();
@@ -378,14 +367,11 @@ impl Deployment {
         if self.live_aps() == 1 {
             return Err(DeployError::LastAp);
         }
-        // Shutdown first, then drain — the order matters under marker
-        // loss: its dispatched-but-unreported windows resolve either by
-        // their markers (FIFO: everything queued processes before the
-        // Shutdown), by a later marker's gap, or by the final flush
-        // revealing tail losses. A drain-first order would wait forever
-        // on a lost tail marker. A worker that exits with windows still
-        // outstanding died without flushing: a loss, not a removal.
-        self.send_shutdown(ap_id);
+        // Hang up its input: everything already queued still processes
+        // (FIFO), so the drain sees every outstanding marker. A worker
+        // that exits with windows still outstanding died: a loss, not a
+        // removal.
+        self.slots[ap_id].tx = None;
         while self.aligner.pending(ap_id) > 0 && self.slots[ap_id].running() {
             self.wait_for_progress();
         }
@@ -402,7 +388,7 @@ impl Deployment {
     /// When the health layer is on, the re-joiner comes back *on
     /// probation*: it stays quarantined (reports withheld from
     /// fusion/consensus, but still scored) until it logs
-    /// [`crate::HealthConfig::probation_windows`] clean windows, then
+    /// [`crate::health::PROBATION_WINDOWS`] clean windows, then
     /// is re-admitted. Consensus references re-baseline either way —
     /// fused geometry shifts with membership.
     ///
@@ -514,7 +500,7 @@ impl Deployment {
             // accounted identically whether the hangup was noticed
             // before this send, during it (`Disconnected`), or not yet
             // at all: *when* a crash is noticed never changes a byte.
-            if self.send(ap_id, WorkerMsg::Window { window, packets }) {
+            if self.send(ap_id, WorkerMsg { window, packets }) {
                 self.metrics.ingest_backpressure_events += 1;
             }
             self.metrics.packets_dispatched += dispatched_packets;
@@ -527,27 +513,7 @@ impl Deployment {
     /// the worker's local window label back to the global window and
     /// rejecting labels beyond the skew tolerance.
     fn route(&mut self, done: WindowDone) {
-        if done.flush {
-            // Ordered-shutdown sentinel: everything queued before the
-            // Shutdown already reported (FIFO), so whatever this AP
-            // still owes lost its marker for good — nothing later will
-            // ever reveal the tail gap. Close those windows now.
-            for global in self.aligner.take_outstanding(done.ap_id) {
-                self.mark_marker_lost(done.ap_id, global);
-            }
-            return;
-        }
-        let (skipped, aligned) = self.aligner.align_gaps(
-            done.ap_id,
-            done.label,
-            done.seq_base,
-            self.cfg.marker_timeout_windows,
-        );
-        // Earlier windows revealed as marker-lost by this marker's gap.
-        for global in skipped {
-            self.mark_marker_lost(done.ap_id, global);
-        }
-        let Some(aligned) = aligned else {
+        let Some(aligned) = self.aligner.align(done.ap_id, done.label, done.seq_base) else {
             // Unattributable (nothing outstanding for the AP — e.g. it
             // was reaped and forgotten): discard.
             return;
@@ -592,21 +558,6 @@ impl Deployment {
         self.metrics.max_fusion_queue_depth = self.metrics.max_fusion_queue_depth.max(depth);
     }
 
-    /// Close the books on one `(AP, window)` whose end-of-window marker
-    /// was lost: the AP counts as reported — so the window can close —
-    /// but contributed no bearings, and the loss earns consensus slack
-    /// in [`Deployment::collect_window`].
-    fn mark_marker_lost(&mut self, ap_id: usize, window: u64) {
-        self.metrics.markers_lost += 1;
-        self.per_ap_window_stats[ap_id].markers_lost += 1;
-        if let Some(bin) = self.bins.get_mut(&window) {
-            if !bin.reported.contains(&ap_id) {
-                bin.reported.push(ap_id);
-                bin.marker_lost_ap_ids.push(ap_id);
-            }
-        }
-    }
-
     /// Deliver one message to AP `ap_id`'s worker without blocking the
     /// coordinator: a full input queue is waited out while draining
     /// reports, so workers stuck publishing finished windows can always
@@ -632,15 +583,6 @@ impl Deployment {
             }
         }
         was_full
-    }
-
-    /// Order one worker to shut down and hang up its input. The input
-    /// channel is FIFO, so everything already queued still processes
-    /// first, and the worker's final flush sentinel then closes any
-    /// tail windows whose markers were lost.
-    fn send_shutdown(&mut self, ap_id: usize) {
-        self.send(ap_id, WorkerMsg::Shutdown);
-        self.slots[ap_id].tx = None;
     }
 
     /// Wait a beat for the workers to make progress, draining any
@@ -691,8 +633,8 @@ impl Deployment {
     }
 
     /// Route reports until every listed worker thread has exited, then
-    /// sweep the stragglers. A worker's sends (markers, the final
-    /// flush) are *blocking* on the shared report channel, so joining a
+    /// sweep the stragglers. A worker's marker sends are *blocking* on
+    /// the shared report channel, so joining a
     /// thread that has not exited could deadlock on a full channel.
     fn drain_until_exited(&mut self, ap_ids: &[usize]) {
         while ap_ids.iter().any(|&k| self.slots[k].running()) {
@@ -724,8 +666,8 @@ impl Deployment {
         self.slots[ap_id].tx = None;
         self.drain_until_exited(&[ap_id]);
         // Windows still outstanding after the drain died with a worker
-        // that never flushed them.
-        let flushed = self.aligner.pending(ap_id) == 0;
+        // that never reported them.
+        let reported_all = self.aligner.pending(ap_id) == 0;
         let slot = &mut self.slots[ap_id];
         slot.alive = false;
         let ap = match slot.join.take().map(JoinHandle::join) {
@@ -740,7 +682,7 @@ impl Deployment {
         self.health.mark_dead(ap_id);
         self.fusion.rebaseline();
         match departure {
-            Departure::Removed if flushed && ap.is_some() => {
+            Departure::Removed if reported_all && ap.is_some() => {
                 self.metrics.aps_removed += 1;
                 ap
             }
@@ -848,11 +790,9 @@ impl Deployment {
             .count();
         // Degradation the coordinator *knows* about — and the only
         // thing that earns consensus slack downstream: reports lost on
-        // the link, rejected for skew, marker-lost, checksum-rejected,
-        // stalled, or never coming (dead worker). Marker-lost APs sit
-        // in `reported`, so they are disjoint from `dead_aps` — no
-        // double counting — and a stalled AP whose payload was *also*
-        // lost is only counted once. Quarantined APs' losses are
+        // the link, rejected for skew, checksum-rejected, stalled, or
+        // never coming (dead worker). A stalled AP whose payload was
+        // *also* lost is only counted once. Quarantined APs' losses are
         // excluded: they are not expected, so they earn no slack.
         let stalled_slack = bin
             .stalled_ap_ids
@@ -861,7 +801,6 @@ impl Deployment {
             .count();
         let missing_aps = not_q(&bin.lost_ap_ids)
             + not_q(&bin.skew_ap_ids)
-            + not_q(&bin.marker_lost_ap_ids)
             + not_q(&bin.corrupt_ap_ids)
             + stalled_slack
             + dead_not_q;
@@ -878,7 +817,6 @@ impl Deployment {
         );
         fused.lost_reports = bin.lost_ap_ids.len();
         fused.skew_rejected = bin.skew_ap_ids.len();
-        fused.markers_lost = bin.marker_lost_ap_ids.len();
         fused.corrupt_reports = bin.corrupt_ap_ids.len();
         fused.stalled_aps = bin.stalled_ap_ids.len();
         fused.quarantined_aps = quarantined.len();
@@ -929,9 +867,6 @@ impl Deployment {
         for &k in &bin.skew_ap_ids {
             ev[k].skew_rejected = true;
         }
-        for &k in &bin.marker_lost_ap_ids {
-            ev[k].marker_lost = true;
-        }
         for &k in &bin.corrupt_ap_ids {
             ev[k].corrupt = true;
         }
@@ -955,7 +890,7 @@ impl Deployment {
                 crate::fusion::bearing_err_deg(self.ap_positions[p.ap_id], fix.position, r.azimuth);
             let x = &mut ev[p.ap_id];
             x.bearings += 1;
-            if err > self.cfg.health.bearing_err_warn_deg {
+            if err > BEARING_ERR_WARN_DEG {
                 x.over_warn += 1;
             }
             if err > x.max_err_deg {
@@ -1064,13 +999,6 @@ impl Deployment {
     /// and fused bytes are identical at any depth, so this path does
     /// not pipeline.
     ///
-    /// Not for runs with [`DeployConfig::marker_loss_rate`] > 0: a lost
-    /// marker is only revealed by a *later* window's marker or by the
-    /// shutdown flush, so a window collected with nothing submitted
-    /// after it can wait forever. Under marker loss, submit ahead,
-    /// collect while later windows are in flight, and let
-    /// [`Deployment::finish`] close the tail.
-    ///
     /// On an error the windows fused so far are lost to the caller.
     pub fn run_stream(
         &mut self,
@@ -1092,29 +1020,18 @@ impl Deployment {
     /// APs removed mid-run were already handed back by
     /// [`Deployment::remove_ap`], and crashed APs' state is gone).
     pub fn finish(mut self) -> (DeploymentReport, Vec<AccessPoint>) {
-        // Shutdown orders go out *before* the drain: the input channels
-        // are FIFO, so queued windows still process first, and each
-        // worker's final flush then closes any tail windows whose
-        // markers were lost — a drain-first order would wait on those
-        // forever. On a healthy run the flush is a no-op and the result
-        // is byte-identical to draining first.
-        let live: Vec<usize> = self
-            .slots
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.tx.is_some())
-            .map(|(id, _)| id)
-            .collect();
-        for ap_id in live {
-            self.send_shutdown(ap_id);
+        // Hang up every input before the drain: the channels are FIFO,
+        // so queued windows still process first, then each worker exits.
+        for slot in &mut self.slots {
+            slot.tx = None;
         }
         while !self.pending.is_empty() {
             if self.collect_window().is_err() {
                 break;
             }
         }
-        // A worker still parked in its final flush (possible on small
-        // channels once every window has closed) must not be joined.
+        // A worker still parked in a marker send (possible on small
+        // channels) must not be joined.
         let all: Vec<usize> = (0..self.slots.len()).collect();
         self.drain_until_exited(&all);
         let telemetry = self.telemetry.clone();
@@ -1287,7 +1204,6 @@ fn spawn_worker(
         auto_train_signatures: cfg.auto_train_signatures,
         skew,
         link: cfg.link,
-        marker_loss_rate: cfg.marker_loss_rate,
         tap,
         faults: crate::faults::ApFaults::new(
             cfg.faults

@@ -96,8 +96,8 @@ pub enum FaultEvent {
     },
     /// AP `ap`'s clock starts *drifting* at `from_window`, gaining
     /// `drift_ppw` windows of label skew per elapsed window on top of
-    /// its configured [`crate::ApSkew`]. The aligner's learned drift
-    /// rate keeps gap detection sound under this (see
+    /// its configured [`crate::ApSkew`]. The aligner learns a gentle
+    /// drift rate and keeps accepting the AP's reports (see
     /// [`crate::align::SkewAligner`]); drift beyond
     /// [`crate::DeployConfig::max_skew_windows`] is rejected and scored
     /// by the health layer.

@@ -12,6 +12,7 @@
 //! group by MAC, fuse.
 
 use crate::config::DeployConfig;
+use crate::health::BEARING_ERR_WARN_DEG;
 use crate::report::{ApBearingError, ApPacket, ClientFix, ClientSummary, FusedWindow};
 use crate::telemetry::{BearingEvidence, ClientWindowEvent, DeployTelemetry};
 use sa_channel::geom::Point;
@@ -387,7 +388,6 @@ impl Fusion {
             // fused fix implies for its AP. A persistently biased AP shows
             // up here window after window while honest APs hug zero.
             if let Some(f) = fix {
-                let warn = cfg.health.bearing_err_warn_deg;
                 for (i, b) in bearings.iter().enumerate() {
                     let err = bearing_err_deg(b.ap_position, f.position, b.azimuth);
                     let agg = ap_errors.entry(bearing_aps[i]).or_insert(ApBearingError {
@@ -395,7 +395,7 @@ impl Fusion {
                         ..ApBearingError::default()
                     });
                     agg.bearings += 1;
-                    if err > warn {
+                    if err > BEARING_ERR_WARN_DEG {
                         agg.over_warn += 1;
                     }
                     agg.max_err_deg = agg.max_err_deg.max(err);
@@ -444,11 +444,10 @@ impl Fusion {
             localize_failures,
             expected_aps,
             // Link-health fields are filled by the coordinator, which
-            // owns the per-window loss/skew/marker accounting; a
+            // owns the per-window loss/skew accounting; a
             // standalone fusion stage reports zeros.
             lost_reports: 0,
             skew_rejected: 0,
-            markers_lost: 0,
             corrupt_reports: 0,
             stalled_aps: 0,
             quarantined_aps,

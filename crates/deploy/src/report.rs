@@ -122,13 +122,6 @@ counter_block! {
     /// here is the drifting-clock signature — see the failure-mode
     /// table in `docs/DEPLOYMENT.md`.
     pub skew_rejections: u64,
-    /// End-of-window markers from this AP lost on the control path
-    /// ([`crate::DeployConfig::marker_loss_rate`]): the coordinator
-    /// never heard this AP finish those windows, and they closed via
-    /// the gap-detection policy
-    /// ([`crate::DeployConfig::marker_timeout_windows`]) or the final
-    /// flush instead.
-    pub markers_lost: u64,
     /// Window reports from this AP rejected because their payload
     /// failed the report-wire checksum (on-path corruption: bit-flipped
     /// bearings, stale-seq replays, garbage confidence). Counted by the
@@ -136,8 +129,8 @@ counter_block! {
     pub reports_corrupt: u64,
     /// Windows this AP's worker spent wedged: its DSP produced nothing
     /// and the end-of-window marker arrived flagged stalled. A run of
-    /// these longer than [`crate::HealthConfig::stall_watchdog_windows`]
-    /// gets the worker reaped.
+    /// these as long as [`crate::health::STALL_WATCHDOG_WINDOWS`] gets
+    /// the worker reaped.
     pub windows_stalled: u64,
     /// Times this AP was quarantined by the health layer (excluded from
     /// fusion/consensus until a clean streak earned re-admission).
@@ -189,7 +182,7 @@ pub struct ApBearingError {
     pub bearings: u32,
     /// Of those, how many missed their fused fix by more than the
     /// health layer's warn threshold
-    /// ([`crate::HealthConfig::bearing_err_warn_deg`]).
+    /// ([`crate::health::BEARING_ERR_WARN_DEG`]).
     pub over_warn: u32,
     /// Worst residual this window, degrees.
     pub max_err_deg: f64,
@@ -218,10 +211,6 @@ pub struct FusedWindow {
     /// AP reports excluded because their window label drifted beyond
     /// the skew tolerance.
     pub skew_rejected: usize,
-    /// APs whose end-of-window marker for this window was lost: the
-    /// window closed via gap detection (or the final flush), without
-    /// ever hearing from them.
-    pub markers_lost: usize,
     /// AP reports rejected because their payload failed the wire
     /// checksum.
     pub corrupt_reports: usize,
@@ -271,8 +260,9 @@ pub struct DeployMetrics {
     /// Window reports rejected because their label drifted beyond the
     /// skew tolerance.
     pub skew_rejections: u64,
-    /// End-of-window markers lost on the control path (summed over
-    /// APs; each left one window to close by gap detection or flush).
+    /// End-of-window markers lost. Always 0: markers travel over the
+    /// in-process channel, which never drops one. Kept so readers of
+    /// the fleet counters (`fleet.markers_lost`) see a stable set.
     pub markers_lost: u64,
     /// Windows fused with at least one live AP's data missing (lost,
     /// rejected, or the AP died mid-window).
@@ -296,7 +286,7 @@ pub struct DeployMetrics {
     /// Re-admission events after quarantine or probation.
     pub aps_readmitted: u64,
     /// Workers reaped by the stall watchdog (a run of stalled windows
-    /// hit [`crate::HealthConfig::stall_watchdog_windows`]). Distinct
+    /// hit [`crate::health::STALL_WATCHDOG_WINDOWS`]). Distinct
     /// from `worker_losses`, which counts uncommanded deaths.
     pub watchdog_reaps: u64,
     /// APs re-joined with their persistent identity
@@ -437,11 +427,10 @@ mod tests {
             report_retransmits: 12,
             reports_lost: 13,
             skew_rejections: 14,
-            markers_lost: 15,
-            reports_corrupt: 16,
-            windows_stalled: 17,
-            quarantined: 18,
-            readmitted: 19,
+            reports_corrupt: 15,
+            windows_stalled: 16,
+            quarantined: 17,
+            readmitted: 18,
         };
         let mut b = a;
         b.absorb(&a);
@@ -459,11 +448,10 @@ mod tests {
         assert_eq!(b.report_retransmits, 24);
         assert_eq!(b.reports_lost, 26);
         assert_eq!(b.skew_rejections, 28);
-        assert_eq!(b.markers_lost, 30);
-        assert_eq!(b.reports_corrupt, 32);
-        assert_eq!(b.windows_stalled, 34);
-        assert_eq!(b.quarantined, 36);
-        assert_eq!(b.readmitted, 38);
+        assert_eq!(b.reports_corrupt, 30);
+        assert_eq!(b.windows_stalled, 32);
+        assert_eq!(b.quarantined, 34);
+        assert_eq!(b.readmitted, 36);
         // for_each visits the same fields absorb folds — exhaustive by
         // construction (both come out of the counter_block! macro), and
         // the visited sum doubles along with the fields.
@@ -474,10 +462,10 @@ mod tests {
         });
         let mut sum_b = 0u64;
         b.for_each(|_, v| sum_b += v);
-        assert_eq!(names_a.len(), 19);
+        assert_eq!(names_a.len(), 18);
         assert_eq!(names_a[0], "windows");
-        assert_eq!(names_a[14], "markers_lost");
-        assert_eq!(names_a[18], "readmitted");
+        assert_eq!(names_a[14], "reports_corrupt");
+        assert_eq!(names_a[17], "readmitted");
         assert_eq!(sum_b, 2 * sum_a);
     }
 

@@ -29,15 +29,12 @@ pub(crate) struct WorkerPacket {
     pub seq: u64,
 }
 
-/// Coordinator → worker messages.
-pub(crate) enum WorkerMsg {
-    /// Process one window's captures, in `seq` order.
-    Window {
-        window: u64,
-        packets: Vec<WorkerPacket>,
-    },
-    /// Drain and exit.
-    Shutdown,
+/// Coordinator → worker: one window's captures, in `seq` order. The
+/// coordinator shuts a worker down by hanging up its input; the worker
+/// drains what is queued and exits.
+pub(crate) struct WorkerMsg {
+    pub window: u64,
+    pub packets: Vec<WorkerPacket>,
 }
 
 /// Worker → fusion: one message per `(AP, window)` — the whole
@@ -73,13 +70,6 @@ pub(crate) struct WindowDone {
     /// and rejects the whole payload on mismatch
     /// ([`ApStats::reports_corrupt`]).
     pub checksum: u64,
-    /// Final flush sentinel: the worker processed its whole queue and
-    /// is exiting after an ordered shutdown. Carries no window — it
-    /// tells the coordinator that any still-outstanding dispatches for
-    /// this AP lost their markers (nothing later will ever reveal a
-    /// tail gap). On a healthy run nothing is outstanding and the
-    /// flush is a no-op.
-    pub flush: bool,
 }
 
 pub(crate) struct WorkerCfg {
@@ -87,11 +77,6 @@ pub(crate) struct WorkerCfg {
     pub auto_train_signatures: bool,
     pub skew: ApSkew,
     pub link: LinkConfig,
-    /// End-of-window marker drop probability
-    /// ([`crate::DeployConfig::marker_loss_rate`]); draws come from a
-    /// dedicated stream so enabling marker loss never shifts the
-    /// report-loss draws.
-    pub marker_loss_rate: f64,
     /// Stage-latency histogram handles (`stage.worker_dsp`,
     /// `stage.enforce`, labeled by AP) — `None` unless stage timing is
     /// on, so the disabled path costs one branch per span and reads no
@@ -157,31 +142,7 @@ pub(crate) fn run_worker(
     let mut engine = None;
     let mut totals = ApStats::default();
     let mut loss = LossStream::new(cfg.link.seed, ap_id);
-    // Marker loss draws from its own stream (seed mixed with a fixed
-    // tag) so the report-loss sequence is identical with it on or off.
-    let mut marker_loss = LossStream::new(cfg.link.seed ^ 0x6d61_726b_6572, ap_id);
-    while let Ok(msg) = rx.recv() {
-        let (window, packets) = match msg {
-            WorkerMsg::Shutdown => {
-                // Ordered exit: everything queued before the Shutdown
-                // was processed (FIFO), so flush tells the coordinator
-                // any windows it is still waiting on lost their
-                // markers for good.
-                let _ = tx.send(WindowDone {
-                    ap_id,
-                    label: 0,
-                    seq_base: None,
-                    packets: Vec::new(),
-                    stats: ApStats::default(),
-                    lost: false,
-                    stalled: false,
-                    checksum: 0,
-                    flush: true,
-                });
-                break;
-            }
-            WorkerMsg::Window { window, packets } => (window, packets),
-        };
+    while let Ok(WorkerMsg { window, packets }) = rx.recv() {
         // Scripted faults for this window: a pure function of the plan
         // and the window number, so nothing here depends on scheduling.
         let wf = if cfg.faults.is_empty() {
@@ -284,16 +245,6 @@ pub(crate) fn run_worker(
             }
         }
 
-        // Marker loss: the whole end-of-window message vanishes — the
-        // coordinator only learns of it from a later marker's gap (or
-        // the final flush). The window's work still happened, so its
-        // stats fold into the run totals the worker hands back at exit.
-        if cfg.marker_loss_rate > 0.0 && marker_loss.dropped(cfg.marker_loss_rate) {
-            stats.markers_lost += 1;
-            totals.absorb(&stats);
-            continue;
-        }
-
         // Lossy-link publish: roll each delivery attempt; an exhausted
         // retry budget abandons the payload but still sends the marker.
         let mut payload = Some(reports);
@@ -335,7 +286,6 @@ pub(crate) fn run_worker(
             lost,
             stalled: wf.stall,
             checksum,
-            flush: false,
         };
         let delivered = match tx.try_send(done) {
             Ok(()) => true,

@@ -4,6 +4,7 @@
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use sa_deploy::health::PROBATION_WINDOWS;
 use sa_deploy::{
     ApSkew, DeployConfig, DeployError, Deployment, FaultEvent, FaultPlan, HealthConfig,
     Transmission,
@@ -188,11 +189,11 @@ fn crashed_worker_never_stalls_a_window() {
 /// Remove → `rejoin_ap` under the same id with the health layer on:
 /// the re-joiner keeps its stable id, comes back on probation (listed
 /// in `quarantined_aps()`, its reports withheld from fusion), is
-/// re-admitted after `probation_windows` clean windows, and its run
+/// re-admitted after `PROBATION_WINDOWS` clean windows, and its run
 /// totals span both stints.
 #[test]
 fn rejoined_ap_serves_probation_then_is_readmitted() {
-    const PROBATION: u32 = 3;
+    const PROBATION: u32 = PROBATION_WINDOWS;
     let tb = Testbed::deployment(4, 409);
     let mut rng = ChaCha8Rng::seed_from_u64(410);
     let clients = [5usize, 7, 16];
@@ -204,10 +205,7 @@ fn rejoined_ap_serves_probation_then_is_readmitted() {
         .collect();
     let aps: Vec<AccessPoint> = tb.nodes.into_iter().map(|n| n.ap).collect();
     let cfg = DeployConfig {
-        health: HealthConfig {
-            probation_windows: PROBATION,
-            ..HealthConfig::enabled()
-        },
+        health: HealthConfig::enabled(),
         ..DeployConfig::default()
     };
     let mut deployment = Deployment::new(aps, cfg);

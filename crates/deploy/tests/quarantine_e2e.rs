@@ -243,10 +243,7 @@ fn recovered_ap_is_readmitted_after_a_clean_streak() {
         .collect();
     let aps: Vec<_> = tb.nodes.into_iter().map(|n| n.ap).collect();
     let cfg = DeployConfig {
-        health: HealthConfig {
-            readmit_after_clean: 4,
-            ..HealthConfig::enabled()
-        },
+        health: HealthConfig::enabled(),
         faults: Some(FaultPlan {
             seed: SEED,
             events: vec![

@@ -15,7 +15,6 @@ use std::ops::{Add, Index, IndexMut, Mul, Sub};
 /// `Default` is the empty `0 × 0` matrix — the natural seed for workspace
 /// buffers that grow on first use (see [`CMat::reset_zero`]).
 #[derive(Debug, Clone, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CMat {
     rows: usize,
     cols: usize,
