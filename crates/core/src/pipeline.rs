@@ -324,6 +324,9 @@ pub struct AccessPoint {
     /// The signature-based spoofing detector.
     pub spoof: SpoofDetector,
     quarantined: std::collections::HashSet<MacAddr>,
+    /// The AoA engine [`AccessPoint::receive`] keeps between frames,
+    /// built on the first one.
+    engine: Option<AoaEngine>,
 }
 
 impl AccessPoint {
@@ -337,6 +340,7 @@ impl AccessPoint {
             acl,
             spoof: SpoofDetector::new(),
             quarantined: std::collections::HashSet::new(),
+            engine: None,
         }
     }
 
@@ -388,13 +392,6 @@ impl AccessPoint {
         assert_eq!(front_end.len(), self.cfg.array.len());
         let capture = front_end.receive_calibration_tone(1024, 1.0, rng);
         self.calibration = Calibration::from_tone_capture(&capture);
-    }
-
-    /// Stage 2: copy the packet's sample window out of a capture
-    /// (uncalibrated).
-    fn extract_window(&self, buffer: &CMat, start: usize, pkt_len: usize) -> CMat {
-        let end = (start + pkt_len).min(buffer.cols());
-        CMat::from_fn(buffer.rows(), end - start, |m, t| buffer[(m, start + t)])
     }
 
     /// Stage 5: signature, bearing and RSS from a *calibrated* window and
@@ -533,12 +530,50 @@ impl AccessPoint {
         }
     }
 
-    /// Convenience: observe then enforce.
+    /// Observe then enforce one capture. The observation is
+    /// [`AccessPoint::observe`]'s, but the AoA engine is built on the
+    /// first call and kept on the AP for every later one.
     pub fn receive(&mut self, buffer: &CMat) -> Result<(Observation, FrameVerdict), ObserveError> {
-        let obs = self.observe(buffer)?;
+        let engine = self
+            .engine
+            .take()
+            .unwrap_or_else(|| AoaEngine::new(&self.cfg.array, &self.cfg.aoa));
+        let mut batch = self.batch_with_engine(engine);
+        let obs = batch
+            .push(buffer)
+            .map(|()| batch.process().pop().expect("one staged packet"));
+        self.engine = Some(batch.into_engine());
+        let obs = obs?;
         let verdict = self.enforce(&obs);
         Ok((obs, verdict))
     }
+}
+
+/// Stage 2: copy the packet's sample window `[start, start + pkt_len)`
+/// (clamped to the capture) out of a capture, uncalibrated, keeping
+/// every `stride`-th sample. Each antenna row is copied as one slice,
+/// and the same pass refuses a window holding a NaN or infinite
+/// sample: one NaN or ∞ poisons the covariance and every estimate
+/// built on it.
+fn extract_window(
+    buffer: &CMat,
+    start: usize,
+    pkt_len: usize,
+    stride: usize,
+) -> Result<CMat, ObserveError> {
+    let cols = buffer.cols();
+    let end = (start + pkt_len).min(cols);
+    let n = (end - start).div_ceil(stride);
+    let mut data = Vec::with_capacity(buffer.rows() * n);
+    let mut finite = true;
+    for row in buffer.data().chunks_exact(cols) {
+        let samples = row[start..end].iter().step_by(stride);
+        data.extend(samples.inspect(|z| finite &= z.is_finite()));
+    }
+    if !finite {
+        return Err(ObserveError::NonFinite);
+    }
+    Ok(CMat::from_vec(buffer.rows(), n, data))
 }
 
 /// A packet staged into a [`PacketBatch`]: decoded, windowed, waiting
@@ -597,13 +632,14 @@ impl PacketBatch<'_> {
             cfo,
             pkt_len,
         } = decode_reference(buffer, self.ap.cfg.modulation)?;
-        let window = self.ap.extract_window(buffer, start, pkt_len);
-        self.stage(StagedPacket {
+        let window = extract_window(buffer, start, pkt_len, 1)?;
+        self.staged.push(StagedPacket {
             window,
             frame,
             start,
             cfo,
-        })
+        });
+        Ok(())
     }
 
     /// Stage a packet whose stage-1 result is already known — the
@@ -637,31 +673,19 @@ impl PacketBatch<'_> {
             return Err(ObserveError::NoPacket);
         }
         let start = decoded.start;
-        let end = (start + decoded.pkt_len).min(buffer.cols());
-        let len = end - start;
-        let window = if self.snapshot_cap > 0 && len > self.snapshot_cap {
-            let stride = len.div_ceil(self.snapshot_cap);
-            let n = len.div_ceil(stride);
-            CMat::from_fn(buffer.rows(), n, |m, t| buffer[(m, start + t * stride)])
+        let len = (start + decoded.pkt_len).min(buffer.cols()) - start;
+        let stride = if self.snapshot_cap > 0 && len > self.snapshot_cap {
+            len.div_ceil(self.snapshot_cap)
         } else {
-            self.ap.extract_window(buffer, start, decoded.pkt_len)
+            1
         };
-        self.stage(StagedPacket {
+        let window = extract_window(buffer, start, len, stride)?;
+        self.staged.push(StagedPacket {
             window,
             frame: decoded.frame.clone(),
             start,
             cfo: decoded.cfo,
-        })
-    }
-
-    /// Stage one extracted packet, refusing a window with a non-finite
-    /// sample: one NaN or ∞ poisons the covariance and every estimate
-    /// built on it.
-    fn stage(&mut self, packet: StagedPacket) -> Result<(), ObserveError> {
-        if !packet.window.data().iter().all(|z| z.is_finite()) {
-            return Err(ObserveError::NonFinite);
-        }
-        self.staged.push(packet);
+        });
         Ok(())
     }
 

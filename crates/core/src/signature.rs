@@ -213,16 +213,38 @@ fn smooth_spectrum(spectrum: &Pseudospectrum, sigma_deg: f64) -> Pseudospectrum 
         })
         .collect();
     let mut values = vec![0.0f64; n];
-    for (i, out) in values.iter_mut().enumerate() {
-        let mut acc = kernel[0] * spectrum.values[i];
+    if spectrum.wraps {
+        let v = &spectrum.values;
+        // Pad with `half` wrapped values on each side, so the taps of
+        // bin `i` read `ext[i + half ∓ k]` without a `%` (`half ≤ n/2`,
+        // so one copy of each end suffices). Every bin sees the full
+        // kernel, so the weight sum is the same for all of them.
+        let ext: Vec<f64> = v[n - half..]
+            .iter()
+            .chain(v)
+            .chain(&v[..half])
+            .copied()
+            .collect();
         let mut wsum = kernel[0];
-        for (k, &w) in kernel.iter().enumerate().skip(1) {
-            // Left neighbour.
-            if spectrum.wraps {
-                acc += w * spectrum.values[(i + n - k) % n];
-                acc += w * spectrum.values[(i + k) % n];
-                wsum += 2.0 * w;
-            } else {
+        for &w in &kernel[1..] {
+            wsum += 2.0 * w;
+        }
+        for (i, out) in values.iter_mut().enumerate() {
+            let c = i + half;
+            let mut acc = kernel[0] * ext[c];
+            for (k, &w) in kernel.iter().enumerate().skip(1) {
+                // Left, then right: the add order the bits depend on.
+                acc += w * ext[c - k];
+                acc += w * ext[c + k];
+            }
+            *out = acc / wsum;
+        }
+    } else {
+        for (i, out) in values.iter_mut().enumerate() {
+            let mut acc = kernel[0] * spectrum.values[i];
+            let mut wsum = kernel[0];
+            for (k, &w) in kernel.iter().enumerate().skip(1) {
+                // Left neighbour.
                 if i >= k {
                     acc += w * spectrum.values[i - k];
                     wsum += w;
@@ -232,8 +254,8 @@ fn smooth_spectrum(spectrum: &Pseudospectrum, sigma_deg: f64) -> Pseudospectrum 
                     wsum += w;
                 }
             }
+            *out = acc / wsum;
         }
-        *out = acc / wsum;
     }
     Pseudospectrum::new(spectrum.angles_deg.clone(), values, spectrum.wraps)
 }
@@ -343,6 +365,7 @@ impl SignatureTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn bump(centers: &[(f64, f64)]) -> AoaSignature {
         let angles: Vec<f64> = (0..360).map(|i| i as f64).collect();
@@ -464,5 +487,84 @@ mod tests {
     #[should_panic(expected = "alpha")]
     fn tracker_rejects_bad_alpha() {
         let _ = SignatureTracker::new(bump(&[(0.0, 1.0)]), 1.5);
+    }
+
+    /// The `%`-indexed smoothing loop the padded one replaced, kept
+    /// verbatim as the bit-identity oracle.
+    fn reference_smooth_spectrum(spectrum: &Pseudospectrum, sigma_deg: f64) -> Pseudospectrum {
+        if sigma_deg <= 0.0 || spectrum.len() < 3 {
+            return spectrum.clone();
+        }
+        let n = spectrum.len();
+        // Assume (and exploit) a uniform grid; fall back to the raw spectrum
+        // if the grid is irregular.
+        let step = spectrum.angles_deg[1] - spectrum.angles_deg[0];
+        let uniform = spectrum
+            .angles_deg
+            .windows(2)
+            .all(|w| ((w[1] - w[0]) - step).abs() < 1e-9);
+        if !uniform {
+            return spectrum.clone();
+        }
+        let half = ((3.0 * sigma_deg / step).ceil() as usize).min(n / 2);
+        let kernel: Vec<f64> = (0..=half)
+            .map(|k| {
+                let d = k as f64 * step;
+                (-d * d / (2.0 * sigma_deg * sigma_deg)).exp()
+            })
+            .collect();
+        let mut values = vec![0.0f64; n];
+        for (i, out) in values.iter_mut().enumerate() {
+            let mut acc = kernel[0] * spectrum.values[i];
+            let mut wsum = kernel[0];
+            for (k, &w) in kernel.iter().enumerate().skip(1) {
+                // Left neighbour.
+                if spectrum.wraps {
+                    acc += w * spectrum.values[(i + n - k) % n];
+                    acc += w * spectrum.values[(i + k) % n];
+                    wsum += 2.0 * w;
+                } else {
+                    if i >= k {
+                        acc += w * spectrum.values[i - k];
+                        wsum += w;
+                    }
+                    if i + k < n {
+                        acc += w * spectrum.values[i + k];
+                        wsum += w;
+                    }
+                }
+            }
+            *out = acc / wsum;
+        }
+        Pseudospectrum::new(spectrum.angles_deg.clone(), values, spectrum.wraps)
+    }
+
+    /// A spectrum of `n ∈ 3..=720` bins spanning ±30 dB, wrapping or
+    /// not, on a uniform grid: a full circle (`360/n`), or a 1° or
+    /// 0.25° step, which on short grids caps the kernel at `n/2` taps.
+    fn spectrum_case() -> impl Strategy<Value = Pseudospectrum> {
+        (3usize..=720, any::<bool>(), 0u8..3).prop_flat_map(|(n, wraps, grid)| {
+            let db = (-30.0f64..30.0).prop_map(|db| 10f64.powf(db / 10.0));
+            proptest::collection::vec(db, n).prop_map(move |values| {
+                let step = [360.0 / n as f64, 1.0, 0.25][grid as usize];
+                let angles = (0..n).map(|i| i as f64 * step).collect();
+                Pseudospectrum::new(angles, values, wraps)
+            })
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn smoothing_is_bit_identical_to_modulo_reference(spectrum in spectrum_case()) {
+            let sigma = SIGNATURE_SMOOTHING_SIGMA_DEG;
+            let got = smooth_spectrum(&spectrum, sigma);
+            let want = reference_smooth_spectrum(&spectrum, sigma);
+            prop_assert_eq!(got.wraps, want.wraps);
+            prop_assert_eq!(&got.angles_deg, &want.angles_deg);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&got.values), bits(&want.values));
+        }
     }
 }

@@ -42,19 +42,21 @@ impl CMat {
 
     /// Build from a row-major slice. Panics if `data.len() != rows*cols`.
     pub fn from_rows(rows: usize, cols: usize, data: &[C64]) -> Self {
+        Self::from_vec(rows, cols, data.to_vec())
+    }
+
+    /// Build from a row-major `Vec`, taking it by value (no copy).
+    /// Panics if `data.len() != rows*cols`.
+    pub fn from_vec(rows: usize, cols: usize, data: Vec<C64>) -> Self {
         assert_eq!(
             data.len(),
             rows * cols,
-            "CMat::from_rows: data length {} does not match {}x{}",
+            "CMat: data length {} does not match {}x{}",
             data.len(),
             rows,
             cols
         );
-        Self {
-            rows,
-            cols,
-            data: data.to_vec(),
-        }
+        Self { rows, cols, data }
     }
 
     /// Build from a function of the index pair.

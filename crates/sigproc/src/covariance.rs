@@ -50,19 +50,55 @@ pub fn sample_covariance_into(x: &Snapshots, out: &mut CMat) {
 /// `stride == 1` is exactly [`sample_covariance_into`] (same
 /// accumulation order, bit-identical). Panics if `x` has no snapshots
 /// or `stride == 0`.
+///
+/// The kernel sweeps the row-major snapshot rows pair-wise: for each
+/// row `i`, the rows `j ≥ i` go four at a time through one pass over
+/// row `i` with four register accumulators (leftover rows one at a
+/// time), and each `j > i` entry is mirrored into `(j, i)`. Every entry
+/// still sums `x_i[t]·conj(x_j[t])` from `+0` in time order, so the
+/// result is bit-identical to a per-snapshot rank-1 update of all M²
+/// entries. The mirror negates as `0 − im`, not with `conj`: the
+/// accumulators never hold `−0`, and `conj` would turn an exact `+0`
+/// imaginary sum into `−0` where the rank-1 update keeps `+0`.
 pub fn sample_covariance_strided_into(x: &Snapshots, stride: usize, out: &mut CMat) {
     let m = x.rows();
     assert!(stride > 0, "sample_covariance: zero stride");
-    let n = x.cols().div_ceil(stride);
+    let cols = x.cols();
+    let n = cols.div_ceil(stride);
     assert!(n > 0, "sample_covariance: no snapshots");
     out.reset_zero(m, m);
-    for t in (0..x.cols()).step_by(stride) {
-        // rank-1 update r += x_t x_t^H (unrolled to avoid building columns)
-        for i in 0..m {
-            let xi = x[(i, t)];
-            for j in 0..m {
-                out[(i, j)] += xi * x[(j, t)].conj();
+    let row = |i: usize| x.data()[i * cols..(i + 1) * cols].iter().step_by(stride);
+    let mut store = |i: usize, j: usize, acc: C64| {
+        out[(i, j)] = acc;
+        if j > i {
+            out[(j, i)] = C64::new(acc.re, 0.0 - acc.im);
+        }
+    };
+    for i in 0..m {
+        let mut j = i;
+        while j + 4 <= m {
+            let mut acc = [ZERO; 4];
+            let block = row(i)
+                .zip(row(j))
+                .zip(row(j + 1))
+                .zip(row(j + 2))
+                .zip(row(j + 3));
+            for ((((&a, &b0), &b1), &b2), &b3) in block {
+                acc[0] += a * b0.conj();
+                acc[1] += a * b1.conj();
+                acc[2] += a * b2.conj();
+                acc[3] += a * b3.conj();
             }
+            for (k, acc) in acc.into_iter().enumerate() {
+                store(i, j + k, acc);
+            }
+            j += 4;
+        }
+        for j in j..m {
+            let acc = row(i)
+                .zip(row(j))
+                .fold(ZERO, |acc, (&a, &b)| acc + a * b.conj());
+            store(i, j, acc);
         }
     }
     out.scale_mut(1.0 / n as f64);

@@ -1,9 +1,12 @@
 //! Property-based tests for the signal-processing layer.
 
 use proptest::prelude::*;
-use sa_linalg::complex::{c64, C64};
+use sa_linalg::complex::{c64, C64, ZERO};
 use sa_linalg::CMat;
-use sa_sigproc::covariance::{forward_backward, numerical_rank, sample_covariance, spatial_smooth};
+use sa_sigproc::covariance::{
+    forward_backward, numerical_rank, sample_covariance, sample_covariance_strided_into,
+    spatial_smooth,
+};
 use sa_sigproc::iq;
 use sa_sigproc::schmidl_cox::SchmidlCox;
 
@@ -13,6 +16,119 @@ fn finite_c64() -> impl Strategy<Value = C64> {
 
 fn snapshots(m: usize, n: usize) -> impl Strategy<Value = CMat> {
     proptest::collection::vec(finite_c64(), m * n).prop_map(move |v| CMat::from_rows(m, n, &v))
+}
+
+/// The rank-1-update covariance kernel the pair-wise kernel replaced,
+/// kept verbatim as the bit-identity oracle: for each snapshot, update
+/// all M² entries.
+fn reference_covariance(x: &CMat, stride: usize, out: &mut CMat) {
+    let m = x.rows();
+    assert!(stride > 0, "sample_covariance: zero stride");
+    let n = x.cols().div_ceil(stride);
+    assert!(n > 0, "sample_covariance: no snapshots");
+    out.reset_zero(m, m);
+    for t in (0..x.cols()).step_by(stride) {
+        // rank-1 update r += x_t x_t^H (unrolled to avoid building columns)
+        for i in 0..m {
+            let xi = x[(i, t)];
+            for j in 0..m {
+                out[(i, j)] += xi * x[(j, t)].conj();
+            }
+        }
+    }
+    out.scale_mut(1.0 / n as f64);
+}
+
+/// Compare the library kernel with [`reference_covariance`] entry by
+/// entry on the IEEE bit patterns (`==` would take `−0` for `+0`).
+fn covariance_bits_match(x: &CMat, stride: usize) -> Result<(), String> {
+    let mut got = CMat::default();
+    let mut want = CMat::default();
+    sample_covariance_strided_into(x, stride, &mut got);
+    reference_covariance(x, stride, &mut want);
+    if (got.rows(), got.cols()) != (want.rows(), want.cols()) {
+        return Err(format!(
+            "shape {}x{} != {}x{}",
+            got.rows(),
+            got.cols(),
+            want.rows(),
+            want.cols()
+        ));
+    }
+    let m = want.cols();
+    for (k, (g, w)) in got.data().iter().zip(want.data()).enumerate() {
+        if g.re.to_bits() != w.re.to_bits() || g.im.to_bits() != w.im.to_bits() {
+            return Err(format!(
+                "entry ({}, {}) of {}x{} stride {}: got {:?}, reference {:?}",
+                k / m,
+                k % m,
+                x.rows(),
+                x.cols(),
+                stride,
+                g,
+                w
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// One snapshot row: complex, real-only or all zero. Real-only and zero
+/// rows give exact `+0` imaginary sums, the entries a `conj` mirror
+/// would flip to `−0`.
+fn snapshot_row(n: usize) -> impl Strategy<Value = Vec<C64>> {
+    (0u8..3, proptest::collection::vec(finite_c64(), n)).prop_map(|(kind, row)| match kind {
+        0 => row,
+        1 => row.into_iter().map(|z| c64(z.re, 0.0)).collect(),
+        _ => vec![ZERO; row.len()],
+    })
+}
+
+/// A snapshot matrix (M ∈ 1..=16 rows, N ∈ 1..=600 columns) and a
+/// stride ∈ 1..=7.
+fn covariance_case() -> impl Strategy<Value = (CMat, usize)> {
+    (1usize..=16, 1usize..=600, 1usize..=7).prop_flat_map(|(m, n, stride)| {
+        proptest::collection::vec(snapshot_row(n), m)
+            .prop_map(move |rows| (CMat::from_rows(m, n, &rows.concat()), stride))
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    // ---------------- covariance oracle ----------------
+
+    #[test]
+    fn covariance_is_bit_identical_to_rank1_reference(case in covariance_case()) {
+        let (x, stride) = case;
+        prop_assert_eq!(covariance_bits_match(&x, stride), Ok(()));
+    }
+}
+
+#[test]
+fn covariance_forced_shapes_are_bit_identical_to_rank1_reference() {
+    let wave = |i: usize, t: usize| {
+        c64(
+            ((3 * i + t) as f64 * 0.37).sin(),
+            ((i * t) as f64 * 0.11).cos(),
+        )
+    };
+    for m in 1..=16 {
+        for (n, stride) in [(1, 1), (2, 1), (5, 2), (37, 3), (480, 1), (600, 7)] {
+            // Real-valued input: every off-diagonal imaginary sum is +0.
+            let real = CMat::from_fn(m, n, |i, t| c64(wave(i, t).re, 0.0));
+            // All-zero rows next to live ones (every third row zero).
+            let holes = CMat::from_fn(m, n, |i, t| if i % 3 == 1 { ZERO } else { wave(i, t) });
+            for (what, x) in [
+                ("real-only", real),
+                ("zero rows", holes),
+                ("all zero", CMat::zeros(m, n)),
+                ("complex", CMat::from_fn(m, n, wave)),
+            ] {
+                assert_eq!(covariance_bits_match(&x, stride), Ok(()), "{what}");
+            }
+        }
+    }
 }
 
 proptest! {
